@@ -1,10 +1,8 @@
 //! Analyzer self-check: runs the deployment verifier over every MlBench
-//! workload against the paper's default target, under every mapping
-//! strategy.
+//! workload against the paper's default target.
 //!
-//! CI runs this to guarantee the verifier never regresses into rejecting
-//! the paper's own benchmark suite — including full-size VGG-D under both
-//! the replicate-dense and shared-kernel layouts. Exits nonzero if any
+//! Guarantees the verifier never regresses into rejecting the paper's
+//! own benchmark suite, full-size VGG-D included. Exits nonzero if any
 //! workload fails to map or draws an `Error`-severity diagnostic.
 //!
 //! With `--program`, additionally lowers each workload's command program
@@ -18,7 +16,7 @@
 //!
 //! With `--candidates`, verifies the *entire enumerated candidate space*
 //! the mapping search scores ([`prime_compiler::enumerate_candidates`])
-//! instead of the two fixed strategies: every candidate must either pass
+//! instead of the fixed default mapping: every candidate must either pass
 //! Pass 1 (and Pass 3 where a lowering exists) or fail to map with a
 //! typed compile error — the search driver prunes those — and the
 //! fixed-default candidate must always be verifier-clean, because it is
@@ -36,11 +34,8 @@ use prime_analyze::{
     analyze, analyze_program, has_errors, lower_program, render_human, render_json,
     Severity, Target,
 };
-use prime_compiler::{enumerate_candidates, map_network, CompileOptions, MappingStrategy};
+use prime_compiler::{enumerate_candidates, map_network, CompileOptions};
 use prime_nn::MlBench;
-
-const STRATEGIES: [MappingStrategy; 2] =
-    [MappingStrategy::ReplicateDense, MappingStrategy::SharedKernel];
 
 /// Verifies every enumerated search candidate for every workload: clean,
 /// or pruned by a typed compile error; the fixed-default candidate (index
@@ -54,9 +49,8 @@ fn check_candidates(target: &Target, json: bool) -> bool {
         let mut pruned = 0usize;
         for (idx, options) in candidates.iter().enumerate() {
             let label = format!(
-                "{}[{} cap={} copies={}]",
+                "{}[cap={} copies={}]",
                 bench.name(),
-                options.strategy().name(),
                 options.stage_mats_cap,
                 options.max_copies
             );
@@ -123,80 +117,62 @@ fn main() -> ExitCode {
         failed |= check_candidates(&target, json);
         return finish(failed);
     }
-    for strategy in STRATEGIES {
-        // Deployment semantics: `PrimeSystem::deploy` maps without
-        // replication (replicas get placed at deploy time); the replicated
-        // mapping is an analytic utilization model, not a physical
-        // placement. Tile sharing still engages for bank-parallel
-        // workloads because whole-network copies alone alias every tile.
-        let options = CompileOptions { replicate: false, ..CompileOptions::fixed(strategy) };
-        for bench in MlBench::ALL {
-            let spec = bench.spec();
-            let mapping = match map_network(&spec, &target.hw, options) {
-                Ok(mapping) => mapping,
-                Err(err) => {
-                    eprintln!(
-                        "{} [{}]: mapping failed: {err}",
-                        bench.name(),
-                        strategy.name()
-                    );
-                    failed = true;
-                    continue;
-                }
-            };
-            let mut diags = analyze(&spec, &target, &mapping);
-            let mut plan_note = "";
-            // Pass-3 findings gate on Warning-or-worse; Pass-1 warnings
-            // (e.g. P011 Po truncation, lossy by design) stay advisory.
-            let mut p3_flagged = 0usize;
-            if program {
-                match lower_program(&spec, &target, &mapping) {
-                    Ok(plan) => {
-                        let p3 = analyze_program(&spec, &target, &mapping, &plan);
-                        p3_flagged = p3
-                            .iter()
-                            .filter(|d| d.severity >= Severity::Warning)
-                            .count();
-                        diags.extend(p3);
-                    }
-                    Err(reason) => {
-                        plan_note = " (no in-memory lowering; pass 3 skipped)";
-                        if !json {
-                            eprintln!(
-                                "{} [{}]: {reason}",
-                                bench.name(),
-                                strategy.name()
-                            );
-                        }
-                    }
-                }
-            }
-            let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-            let warnings =
-                diags.iter().filter(|d| d.severity == Severity::Warning).count();
-            if json {
-                println!(
-                    "{{\"workload\":\"{}\",\"strategy\":\"{}\",\"diagnostics\":{}}}",
-                    bench.name(),
-                    strategy.name(),
-                    render_json(&diags)
-                );
-            } else {
-                println!(
-                    "{:8} {:16} {:24} errors={errors} warnings={warnings}{plan_note}",
-                    bench.name(),
-                    strategy.name(),
-                    bench.topology()
-                );
-                if errors > 0 || p3_flagged > 0 {
-                    print!("{}", render_human(&diags));
-                }
-            }
-            // Pass 1 alone gates on errors; with `--program` the paper's
-            // workloads must also be free of new Pass-3 warnings.
-            if has_errors(&diags) || p3_flagged > 0 {
+    // Deployment semantics: `PrimeSystem::deploy` maps without
+    // replication (replicas get placed at deploy time); the replicated
+    // mapping is an analytic utilization model, not a physical placement.
+    let options = CompileOptions { replicate: false, ..CompileOptions::default() };
+    for bench in MlBench::ALL {
+        let spec = bench.spec();
+        let mapping = match map_network(&spec, &target.hw, options) {
+            Ok(mapping) => mapping,
+            Err(err) => {
+                eprintln!("{}: mapping failed: {err}", bench.name());
                 failed = true;
+                continue;
             }
+        };
+        let mut diags = analyze(&spec, &target, &mapping);
+        let mut plan_note = "";
+        // Pass-3 findings gate on Warning-or-worse; Pass-1 warnings
+        // (e.g. P011 Po truncation, lossy by design) stay advisory.
+        let mut p3_flagged = 0usize;
+        if program {
+            match lower_program(&spec, &target, &mapping) {
+                Ok(plan) => {
+                    let p3 = analyze_program(&spec, &target, &mapping, &plan);
+                    p3_flagged = p3.iter().filter(|d| d.severity >= Severity::Warning).count();
+                    diags.extend(p3);
+                }
+                Err(reason) => {
+                    plan_note = " (no in-memory lowering; pass 3 skipped)";
+                    if !json {
+                        eprintln!("{}: {reason}", bench.name());
+                    }
+                }
+            }
+        }
+        let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
+        let warnings = diags.iter().filter(|d| d.severity == Severity::Warning).count();
+        if json {
+            println!(
+                "{{\"workload\":\"{}\",\"diagnostics\":{}}}",
+                bench.name(),
+                render_json(&diags)
+            );
+        } else {
+            println!(
+                "{:8} {:24} errors={errors} warnings={warnings}{plan_note}",
+                bench.name(),
+                bench.topology()
+            );
+            if errors > 0 || p3_flagged > 0 {
+                print!("{}", render_human(&diags));
+            }
+        }
+        // Pass 1 alone gates on errors; with `--program` the paper's
+        // workloads must also be free of new Pass-3 warnings.
+        if has_errors(&diags) || p3_flagged > 0 {
+            failed = true;
         }
     }
     finish(failed)

@@ -83,13 +83,8 @@ pub enum Code {
     /// Conv row ring exceeds the residency budget; the runner falls back
     /// to per-pixel window staging for that layer.
     P020,
-    /// Aliased shared tiles disagree on composing scheme or cell precision.
-    P021,
     /// Shared-tile reference count does not fit the mat-table counter.
     P022,
-    /// Layer requested `SharedKernel` but fell back to `ReplicateDense`
-    /// (no sharing opportunity).
-    P023,
     /// Program-plan op reads FF-buffer words its staging region never
     /// defines (use before stage).
     P024,
@@ -128,7 +123,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in catalog order.
-    pub const ALL: [Code; 36] = [
+    pub const ALL: [Code; 34] = [
         Code::P001,
         Code::P002,
         Code::P003,
@@ -149,9 +144,7 @@ impl Code {
         Code::P018,
         Code::P019,
         Code::P020,
-        Code::P021,
         Code::P022,
-        Code::P023,
         Code::P024,
         Code::P025,
         Code::P026,
@@ -190,9 +183,7 @@ impl Code {
             Code::P018 => "P018",
             Code::P019 => "P019",
             Code::P020 => "P020",
-            Code::P021 => "P021",
             Code::P022 => "P022",
-            Code::P023 => "P023",
             Code::P024 => "P024",
             Code::P025 => "P025",
             Code::P026 => "P026",
@@ -232,9 +223,7 @@ impl Code {
             Code::P018 => "illegal kernel replication",
             Code::P019 => "window staging overflow",
             Code::P020 => "conv row ring not resident",
-            Code::P021 => "shared-tile scheme mismatch",
             Code::P022 => "shared-tile refcount overflow",
-            Code::P023 => "shared-kernel fallback",
             Code::P024 => "use before stage",
             Code::P025 => "overlapping live buffer regions",
             Code::P026 => "ring clobbers live halo row",
@@ -255,7 +244,7 @@ impl Code {
     pub fn severity(self) -> Severity {
         match self {
             Code::P011 | Code::P013 | Code::P015 | Code::P028 | Code::P053 => Severity::Warning,
-            Code::P020 | Code::P023 => Severity::Info,
+            Code::P020 => Severity::Info,
             _ => Severity::Error,
         }
     }

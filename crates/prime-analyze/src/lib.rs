@@ -67,7 +67,7 @@ pub use program::{
     ProgramTile,
 };
 pub use verify::{
-    analyze, check_pipeline, check_shared_layout, conv_staging, shared_layout, tile_pn,
-    ConvStaging, SharedTileGroup, Target, CONV_RESIDENT_BUDGET_DIVISOR,
+    analyze, check_pipeline, check_shared_layout, conv_staging, shared_layout, ConvStaging,
+    SharedTileGroup, Target, CONV_RESIDENT_BUDGET_DIVISOR,
     LOW_UTILIZATION_THRESHOLD, WINDOW_IO_CHUNK_WORDS,
 };

@@ -31,10 +31,10 @@
 //!
 //! `PrimeSystem::deploy` gates on this pass exactly like Pass 1, and
 //! `analyze_workloads --program` runs it statically over every MlBench
-//! workload under both mapping strategies.
+//! workload.
 
 use prime_circuits::mean_pool_weights;
-use prime_compiler::{pipeline_credits, MappingStrategy, NetworkMapping};
+use prime_compiler::{pipeline_credits, NetworkMapping};
 use prime_nn::{LayerSpec, NetworkSpec, PoolKind};
 
 use crate::diag::{sort_diagnostics, Code, Diagnostic, Span};
@@ -440,19 +440,14 @@ fn check_aliasing(plan: &ProgramPlan, mapping: &NetworkMapping) -> Vec<Diagnosti
             layer.tiles.iter().filter(|t| t.aliased && t.write_armed).count();
         if armed_aliased > 0 {
             let refs = mapping.layers.get(index).map_or(1, |l| l.tile_refs.max(1));
-            let strategy = mapping
-                .layers
-                .get(index)
-                .map_or(MappingStrategy::ReplicateDense, |l| l.strategy);
             diags.push(Diagnostic::new(
                 Code::P029,
                 Span::Layer { index, entity: layer.op.describe() },
                 format!(
                     "{armed_aliased} tile(s) left write-armed (Program function) while \
-                     their pair is shared ({} layout, {refs} placement(s) per tile): a \
+                     their pair is shared ({refs} placement(s) per tile): a \
                      program/calibrate would write through the alias — copy-on-write \
-                     has not triggered",
-                    strategy.name()
+                     has not triggered"
                 ),
             ));
         }

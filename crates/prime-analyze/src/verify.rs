@@ -11,7 +11,7 @@
 //! refuses to deploy when any diagnostic is `Error`-severity.
 
 use prime_circuits::ComposingScheme;
-use prime_compiler::{HwTarget, MappingStrategy, NetworkMapping, NnScale, PipelineStage};
+use prime_compiler::{HwTarget, NetworkMapping, NnScale, PipelineStage};
 use prime_mem::MemGeometry;
 use prime_nn::{LayerSpec, NetworkSpec};
 
@@ -103,9 +103,8 @@ pub struct Target {
     /// column count because weights pair two adjacent cells.
     pub phys_mat_cols: usize,
     /// Width of the per-mat reference counter in the controller's mat
-    /// table. Under a shared-kernel layout every placement of a tile
-    /// bumps the owning mat's counter, so a group's reference count must
-    /// fit in this many bits.
+    /// table. Every placement of a tile bumps the owning mat's counter,
+    /// so a layer's reference count must fit in this many bits.
     pub tile_ref_bits: u8,
 }
 
@@ -292,80 +291,38 @@ pub fn check_pipeline(
     diags
 }
 
-/// One class of aliased weight tiles under a shared-kernel layout: every
-/// tile in the group drives the same wordline count (hence derives the
-/// same `PN` when programmed) and is referenced by the same number of
-/// placements.
+/// The aliased weight tiles of one layer: every placement of the
+/// layer's tiles — in-mat replicas, spare-mat replicas, whole-network
+/// copies — references the same unique tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedTileGroup {
-    /// Index of the layer whose kernel the tiles hold.
+    /// Index of the layer whose weights the tiles hold.
     pub layer: usize,
-    /// Wordline rows every aliased placement drives on the tile.
-    pub rows: usize,
-    /// Composed weight columns of each tile.
-    pub cols: usize,
     /// Unique physical tiles in the group.
     pub tiles: usize,
     /// Placements referencing each tile (the mat-table refcount).
     pub refs: usize,
-    /// Inputs-per-array exponent (`PN`) the aliases assume. Programming
-    /// derives `PN` from the driven rows, so aliases disagreeing here
-    /// would sense through mismatched output windows.
-    pub pn: u8,
-    /// MLC precision the aliases assume for the tile's cells.
-    pub cell_bits: u8,
-}
-
-/// The `PN` the device derives when programming a tile that drives `rows`
-/// wordlines: `ceil(log2(rows))`, at least 1. Mirrors the runtime's
-/// `program_composed` rule, which recomputes `PN` from the actual row
-/// count rather than trusting the scheme's default.
-pub fn tile_pn(rows: usize) -> u8 {
-    (ceil_log2(rows.max(1)) as u8).max(1)
 }
 
 /// Derives the shared-tile groups a mapping implies: one group per
-/// distinct tile row count of every layer lowered with
-/// [`MappingStrategy::SharedKernel`]. A row-split layer yields two groups
-/// (full-height tiles and the partial last band) because the two derive
-/// different `PN` values and must be checked separately.
-pub fn shared_layout(mapping: &NetworkMapping, target: &Target) -> Vec<SharedTileGroup> {
-    let hw = &target.hw;
-    let mut groups = Vec::new();
-    for (index, layer) in mapping.layers.iter().enumerate() {
-        if layer.strategy != MappingStrategy::SharedKernel || layer.base_mats == 0 {
-            continue;
-        }
-        let last_rows = layer.rows_needed - (layer.row_tiles - 1) * hw.mat_rows;
-        let cols = layer.cols_needed.min(hw.mat_cols);
-        let refs = layer.tile_refs.max(1);
-        if layer.row_tiles > 1 {
-            groups.push(SharedTileGroup {
-                layer: index,
-                rows: hw.mat_rows,
-                cols,
-                tiles: (layer.row_tiles - 1) * layer.col_tiles,
-                refs,
-                pn: tile_pn(hw.mat_rows),
-                cell_bits: target.cell_bits,
-            });
-        }
-        groups.push(SharedTileGroup {
+/// weight layer, referenced [`LayerMapping::tile_refs`] times.
+///
+/// [`LayerMapping::tile_refs`]: prime_compiler::LayerMapping::tile_refs
+pub fn shared_layout(mapping: &NetworkMapping) -> Vec<SharedTileGroup> {
+    mapping
+        .layers
+        .iter()
+        .enumerate()
+        .filter(|(_, layer)| layer.base_mats > 0)
+        .map(|(index, layer)| SharedTileGroup {
             layer: index,
-            rows: last_rows,
-            cols,
-            tiles: layer.col_tiles,
-            refs,
-            pn: tile_pn(last_rows),
-            cell_bits: target.cell_bits,
-        });
-    }
-    groups
+            tiles: layer.base_mats,
+            refs: layer.tile_refs,
+        })
+        .collect()
 }
 
-/// Checks shared-tile legality: every alias of a physical tile must agree
-/// on the composing scheme and cell precision the tile was programmed
-/// with (P021), and the group's reference count must fit the mat table's
+/// Checks that every group's reference count fits the mat table's
 /// per-mat counter (P022). Pure over the groups so fixtures can probe
 /// violating layouts directly.
 pub fn check_shared_layout(groups: &[SharedTileGroup], target: &Target) -> Vec<Diagnostic> {
@@ -373,36 +330,8 @@ pub fn check_shared_layout(groups: &[SharedTileGroup], target: &Target) -> Vec<D
     for group in groups {
         let span = Span::Layer {
             index: group.layer,
-            entity: format!(
-                "shared {}x{} tile group ({} tile(s), {} refs)",
-                group.rows, group.cols, group.tiles, group.refs
-            ),
+            entity: format!("shared tile group ({} tile(s), {} refs)", group.tiles, group.refs),
         };
-        let expected_pn = tile_pn(group.rows);
-        if group.pn != expected_pn {
-            diags.push(Diagnostic::new(
-                Code::P021,
-                span.clone(),
-                format!(
-                    "aliased placements assume PN={} but programming a {}-row tile \
-                     derives PN={expected_pn}; every alias of a shared tile must agree \
-                     on the composing scheme",
-                    group.pn, group.rows
-                ),
-            ));
-        }
-        if group.cell_bits != target.cell_bits {
-            diags.push(Diagnostic::new(
-                Code::P021,
-                span.clone(),
-                format!(
-                    "aliased placements assume {}-bit cells but the target programs \
-                     {}-bit MLC levels; every alias of a shared tile must agree on \
-                     weight precision",
-                    group.cell_bits, target.cell_bits
-                ),
-            ));
-        }
         if group.refs == 0 {
             diags.push(Diagnostic::new(
                 Code::P022,
@@ -835,25 +764,9 @@ pub fn analyze(spec: &NetworkSpec, target: &Target, mapping: &NetworkMapping) ->
         }
     }
 
-    // Shared-kernel layout legality (P021/P022) and fallback visibility
-    // (P023): layers that asked for tile sharing but have a single
-    // placement per tile gain nothing and are lowered dense.
-    if mapping.strategy == MappingStrategy::SharedKernel {
-        for (index, layer) in mapping.layers.iter().enumerate() {
-            if layer.strategy == MappingStrategy::ReplicateDense && layer.base_mats > 0 {
-                diags.push(Diagnostic::new(
-                    Code::P023,
-                    layer_span(index, &layer.layer),
-                    format!(
-                        "shared-kernel layout requested but every tile has exactly \
-                         {} placement(s); lowering replicate-dense",
-                        layer.tile_refs.max(1)
-                    ),
-                ));
-            }
-        }
-    }
-    diags.extend(check_shared_layout(&shared_layout(mapping, target), target));
+    // Every placement of a tile aliases it: the per-tile reference
+    // count must fit the mat table (P022).
+    diags.extend(check_shared_layout(&shared_layout(mapping), target));
 
     crate::diag::sort_diagnostics(&mut diags);
     diags
@@ -871,10 +784,8 @@ mod tests {
     /// (replicas are placed physically at deploy time); the replicated
     /// mapping is an analytic utilization model, not a placement, so the
     /// verifier's placement rules apply to the former.
-    const DEPLOY_OPTIONS: CompileOptions = CompileOptions {
-        replicate: false,
-        ..CompileOptions::fixed(MappingStrategy::ReplicateDense)
-    };
+    const DEPLOY_OPTIONS: CompileOptions =
+        CompileOptions { replicate: false, stage_mats_cap: 0, max_copies: 0 };
 
     fn default_analyze(bench: MlBench) -> Vec<Diagnostic> {
         let spec = bench.spec();
@@ -1000,115 +911,25 @@ mod tests {
     }
 
     #[test]
-    fn tile_pn_matches_the_programming_rule() {
-        // Mirror of `program_composed`: pn = ceil(log2(rows)).max(1),
-        // computed as usize::BITS - (rows - 1).leading_zeros().
-        for rows in [1usize, 2, 3, 4, 255, 256, 257, 577] {
-            let runtime = (usize::BITS - (rows.max(1) - 1).leading_zeros()).max(1) as u8;
-            assert_eq!(tile_pn(rows), runtime, "rows={rows}");
-        }
-    }
-
-    #[test]
-    fn shared_kernel_mappings_are_accepted_for_every_workload() {
-        // Deploy semantics (no replication): whole-network bank copies
-        // still alias every tile for bank-parallel workloads, so the
-        // shared-kernel legality checks run for real groups here.
-        let options =
-            CompileOptions { replicate: false, ..CompileOptions::fixed(MappingStrategy::SharedKernel) };
-        for bench in MlBench::ALL {
-            let spec = bench.spec();
-            let target = Target::prime_default();
-            let mapping = map_network(&spec, &target.hw, options).unwrap();
-            let diags = analyze(&spec, &target, &mapping);
-            assert!(
-                !has_errors(&diags),
-                "{}: unexpected errors:\n{}",
-                bench.name(),
-                crate::diag::render_human(&diags)
-            );
-        }
-    }
-
-    #[test]
     fn derived_shared_layout_is_always_legal() {
-        let options =
-            CompileOptions { replicate: true, ..CompileOptions::fixed(MappingStrategy::SharedKernel) };
         let target = Target::prime_default();
-        let mapping = map_network(&MlBench::Cnn1.spec(), &target.hw, options).unwrap();
-        let groups = shared_layout(&mapping, &target);
+        let mapping =
+            map_network(&MlBench::Cnn1.spec(), &target.hw, CompileOptions::default()).unwrap();
+        let groups = shared_layout(&mapping);
         assert!(!groups.is_empty(), "CNN-1 replicates, so sharing must engage");
+        assert!(groups.iter().any(|g| g.refs > 1));
         assert!(check_shared_layout(&groups, &target).is_empty());
-    }
-
-    #[test]
-    fn scheme_disagreement_between_aliases_is_p021() {
-        let target = Target::prime_default();
-        let group = SharedTileGroup {
-            layer: 0,
-            rows: 26,
-            cols: 20,
-            tiles: 1,
-            refs: 8,
-            pn: tile_pn(26) + 1, // an alias assuming the wrong window position
-            cell_bits: target.cell_bits,
-        };
-        let diags = check_shared_layout(&[group], &target);
-        assert!(diags.iter().any(|d| d.code == Code::P021), "{diags:?}");
-        assert!(has_errors(&diags));
-    }
-
-    #[test]
-    fn precision_disagreement_between_aliases_is_p021() {
-        let target = Target::prime_default();
-        let group = SharedTileGroup {
-            layer: 1,
-            rows: 26,
-            cols: 20,
-            tiles: 1,
-            refs: 8,
-            pn: tile_pn(26),
-            cell_bits: target.cell_bits + 1,
-        };
-        let diags = check_shared_layout(&[group], &target);
-        assert!(diags.iter().any(|d| d.code == Code::P021), "{diags:?}");
     }
 
     #[test]
     fn refcount_overflow_is_p022() {
         let mut target = Target::prime_default();
         target.tile_ref_bits = 2; // counter saturates at 3
-        let group = SharedTileGroup {
-            layer: 0,
-            rows: 26,
-            cols: 20,
-            tiles: 1,
-            refs: 4,
-            pn: tile_pn(26),
-            cell_bits: target.cell_bits,
-        };
+        let group = SharedTileGroup { layer: 0, tiles: 1, refs: 4 };
         let diags = check_shared_layout(&[group], &target);
         assert!(diags.iter().any(|d| d.code == Code::P022), "{diags:?}");
         let zero = SharedTileGroup { refs: 0, ..group };
         let diags = check_shared_layout(&[zero], &target);
         assert!(diags.iter().any(|d| d.code == Code::P022), "{diags:?}");
-    }
-
-    #[test]
-    fn shared_kernel_fallback_is_reported_as_p023_info() {
-        // VGG-D fills the memory with a single copy, so without replicas
-        // every tile has one placement: every layer falls back and the
-        // verifier says so without erroring.
-        let spec = MlBench::VggD.spec();
-        let target = Target::prime_default();
-        let options =
-            CompileOptions { replicate: false, ..CompileOptions::fixed(MappingStrategy::SharedKernel) };
-        let mapping = map_network(&spec, &target.hw, options).unwrap();
-        let diags = analyze(&spec, &target, &mapping);
-        let fallback: Vec<_> =
-            diags.iter().filter(|d| d.code == Code::P023).collect();
-        assert!(!fallback.is_empty(), "{diags:?}");
-        assert!(fallback.iter().all(|d| d.severity == Severity::Info));
-        assert!(!has_errors(&diags), "{diags:?}");
     }
 }

@@ -29,24 +29,21 @@
 //! engine once, untimed, for the output-equality assert.
 //!
 //! A last section deploys the paper's VGG-D at **full weight scale**
-//! (~1.4x10^8 synapses) on a wide-bank device-runner system, under both
-//! weight-layout strategies (`MappingStrategy::ReplicateDense` and
-//! `::SharedKernel`), asserting the outputs bit-identical and the
-//! shared-kernel conv footprint within its acceptance bound; every
-//! engine row also reports deploy wall-time and resident bank-state
-//! bytes (`deploy_ms` / `bank_state_bytes`).
+//! (~1.4x10^8 synapses) on a wide-bank device-runner system and times
+//! one inference; every engine row also reports deploy wall-time and
+//! resident bank-state bytes (`deploy_ms` / `bank_state_bytes`).
 //!
 //! A searched-vs-fixed section (`search` key) runs the cost-model-driven
 //! mapping search (`prime_core::search_mapping` under the latency
 //! objective, scored by `prime_sim::SimCostModel`) against the fixed
-//! replicate-dense default for MLP-M, CNN-1, and the full-size VGG-D,
+//! default mapping for MLP-M, CNN-1, and the full-size VGG-D,
 //! reporting per-workload candidate counts, the chosen candidate, and
 //! the searched/fixed steady-state interval ratio — which can never
 //! exceed 1.0, since the fixed default is itself a candidate.
 //!
 //! `--smoke` runs two fast configurations (one flat, one pipelined)
-//! plus the device-runner breakdown, a single-strategy VGG-D (full)
-//! deploy, and the (analytical, cheap) searched-vs-fixed section, and
+//! plus the device-runner breakdown, the VGG-D (full) deploy, and the
+//! (analytical, cheap) searched-vs-fixed section, and
 //! skips the JSON. With `--baseline <path>` (CI) the device-runner conv
 //! row, the VGG-D (full) deploy time, and the search interval ratios
 //! are additionally checked against the pinned `BENCH_baseline.json`:
@@ -60,7 +57,7 @@
 use std::time::Instant;
 
 use prime_analyze::Target;
-use prime_compiler::{map_network, CompileOptions, HwTarget, MappingStrategy, Objective};
+use prime_compiler::Objective;
 use prime_core::{
     search_mapping, BankController, CandidateVerdict, CommandRunner, ConvPhases, InferScratch,
     PrimeSystem,
@@ -146,10 +143,16 @@ struct DeviceRunnerRow {
     conv_phases: Vec<ConvPhaseRow>,
 }
 
-/// One strategy's measured deployment of the full-size VGG-D.
+/// The full-size VGG-D (no class-scale stand-in) deployed and executed
+/// on the device runner.
 #[derive(Serialize)]
-struct VggStrategyRow {
-    strategy: String,
+struct VggFullRow {
+    workload: String,
+    topology: String,
+    synapses: u64,
+    batch: usize,
+    /// Pipeline stages of the deployed plan.
+    stages: usize,
     /// Deployment wall-time (map + verify + program + calibrate),
     /// milliseconds — ~1.4x10^8 synapses quantized and programmed.
     deploy_ms: f64,
@@ -162,26 +165,8 @@ struct VggStrategyRow {
     ns_per_inference: f64,
 }
 
-/// The full-size VGG-D (no class-scale stand-in) deployed and executed
-/// on the device runner under both weight-layout strategies.
-#[derive(Serialize)]
-struct VggFullRow {
-    workload: String,
-    topology: String,
-    synapses: u64,
-    batch: usize,
-    /// Pipeline stages of the deployed plan.
-    stages: usize,
-    /// Compiler footprint estimate for the conv layers under the
-    /// replicated mapping model: shared-kernel cells / replicate-dense
-    /// cells. The shared-kernel acceptance bound
-    /// ([`VGG_CONV_RATIO_LIMIT`]) is checked against this.
-    shared_conv_cell_ratio: f64,
-    strategies: Vec<VggStrategyRow>,
-}
-
 /// One workload's searched-vs-fixed comparison: the latency-objective
-/// mapping search against the fixed replicate-dense default, both
+/// mapping search against the fixed default mapping, both
 /// scored with the analytical cost model ([`SimCostModel`]) the search
 /// itself minimizes. `interval_ratio <= 1.0` is the search's whole
 /// point — the argmin can never lose to a candidate it enumerates.
@@ -228,15 +213,10 @@ struct Baseline {
     device_conv_share: f64,
     /// Full-size VGG-D deploy wall-time of the pinned run; the smoke
     /// check fails past [`BASELINE_NS_TOLERANCE`] times this, so a
-    /// change that silently reverts the replicate-by-cloning deploy (or
-    /// shared-tile adoption) fails CI rather than landing as a
-    /// minutes-slower green build.
+    /// change that silently reverts the replicate-by-aliasing deploy
+    /// fails CI rather than landing as a minutes-slower green build.
     vgg_full_deploy_ms: f64,
 }
-
-/// The shared-kernel conv footprint must stay at or below this fraction
-/// of the replicate-dense estimate for the conv-dominated VGG-D stack.
-const VGG_CONV_RATIO_LIMIT: f64 = 0.25;
 
 /// Conv ns/inference may drift up to this factor over the pinned
 /// baseline before the check fails — wide enough for noisy shared CI
@@ -492,94 +472,56 @@ fn measure_device_runner(batch: usize, reps: usize) -> DeviceRunnerRow {
 }
 
 /// Deploys the full-size VGG-D (~1.4x10^8 synapses, paper Table III) on
-/// a wide-bank device-runner system and times deployment plus single
-/// inferences. `strategies` selects how many weight layouts to measure:
-/// the full run deploys under both and asserts the outputs bit-identical
-/// (the weight layout must never change the arithmetic); the smoke run
-/// deploys shared-kernel only, for the deploy-time regression gate.
+/// a wide-bank device-runner system and times deployment plus a single
+/// inference.
 ///
 /// Each FF subarray holds 1600 mats so VGG-D's widest stage (the
 /// 25088x4096 FC, 3168 mats) fits one bank; three banks hold the whole
 /// 4230-mat plan as an inter-bank pipeline with one copy — the §IV-B
 /// large-scale case at the paper's real scale.
-fn measure_vgg_full(strategies: &[MappingStrategy]) -> VggFullRow {
+fn measure_vgg_full() -> VggFullRow {
     let bench = MlBench::VggD;
     let spec = bench.spec();
-    // Conv-footprint estimate from the replicated mapping model (the
-    // analytic utilization view, where in-mat replication and memory
-    // copies re-place every conv kernel).
-    let estimate = map_network(
-        &spec,
-        &HwTarget::prime_default(),
-        CompileOptions { replicate: true, ..CompileOptions::fixed(MappingStrategy::SharedKernel) },
-    )
-    .expect("VGG-D maps on the paper target");
-    let conv = estimate.conv_footprint();
-    let ratio = conv.unique_cells as f64 / conv.placed_cells.max(1) as f64;
-    assert!(
-        ratio <= VGG_CONV_RATIO_LIMIT,
-        "shared-kernel conv footprint ratio {ratio:.3} exceeds {VGG_CONV_RATIO_LIMIT}"
-    );
-
     let net = spec.to_runner_network(0x5EED).expect("VGG-D builds at full weight scale");
     let calibration: Vec<f32> =
         (0..net.inputs()).map(|j| ((j * 5) % 13) as f32 / 13.0).collect();
     let input: Vec<f32> = (0..net.inputs()).map(|j| ((j * 7) % 11) as f32 / 11.0).collect();
 
-    let mut rows = Vec::new();
-    let mut stages = 0;
-    let mut reference: Option<Vec<Vec<f32>>> = None;
-    for &strategy in strategies {
-        let mut system = PrimeSystem::new(3, 2, 1600, 65536);
-        system
-            .deploy_with(&net, &calibration, strategy)
-            .expect("full-size VGG-D deploys on the device runner");
-        stages = system.deployed_stages().expect("deployed");
-        let stats = system.deploy_stats().expect("deployed").clone();
-        let start = Instant::now();
-        let outputs = system.infer_batch(std::slice::from_ref(&input)).expect("runs");
-        let inference_s = start.elapsed().as_secs_f64();
-        match &reference {
-            Some(expected) => assert_eq!(
-                expected, &outputs,
-                "VGG-D outputs diverged between weight-layout strategies"
-            ),
-            None => reference = Some(outputs),
-        }
-        println!(
-            "VGG-D (full) [{}]: deploy {:.0} ms, bank state {:.0} MB (dense {:.0} MB), \
-             {} tiles ({} aliased placements), inference {:.1} s",
-            strategy.name(),
-            stats.wall_ms,
-            stats.resident_bytes as f64 / (1 << 20) as f64,
-            stats.dense_bytes as f64 / (1 << 20) as f64,
-            stats.unique_tiles,
-            stats.aliased_placements,
-            inference_s
-        );
-        rows.push(VggStrategyRow {
-            strategy: strategy.name().to_string(),
-            deploy_ms: stats.wall_ms,
-            bank_state_bytes: stats.resident_bytes,
-            dense_state_bytes: stats.dense_bytes,
-            unique_tiles: stats.unique_tiles,
-            aliased_placements: stats.aliased_placements,
-            ns_per_inference: inference_s * 1e9,
-        });
-    }
+    let mut system = PrimeSystem::new(3, 2, 1600, 65536);
+    system
+        .deploy(&net, &calibration)
+        .expect("full-size VGG-D deploys on the device runner");
+    let stats = system.deploy_stats().expect("deployed").clone();
+    let start = Instant::now();
+    system.infer_batch(std::slice::from_ref(&input)).expect("runs");
+    let inference_s = start.elapsed().as_secs_f64();
+    println!(
+        "VGG-D (full): deploy {:.0} ms, bank state {:.0} MB (dense {:.0} MB), \
+         {} tiles ({} aliased placements), inference {:.1} s",
+        stats.wall_ms,
+        stats.resident_bytes as f64 / (1 << 20) as f64,
+        stats.dense_bytes as f64 / (1 << 20) as f64,
+        stats.unique_tiles,
+        stats.aliased_placements,
+        inference_s
+    );
     VggFullRow {
         workload: "VGG-D (full)".to_string(),
         topology: bench.topology().to_string(),
         synapses: spec.synapses(),
         batch: 1,
-        stages,
-        shared_conv_cell_ratio: ratio,
-        strategies: rows,
+        stages: system.deployed_stages().expect("deployed"),
+        deploy_ms: stats.wall_ms,
+        bank_state_bytes: stats.resident_bytes,
+        dense_state_bytes: stats.dense_bytes,
+        unique_tiles: stats.unique_tiles,
+        aliased_placements: stats.aliased_placements,
+        ns_per_inference: inference_s * 1e9,
     }
 }
 
-/// Runs the latency-objective mapping search against the fixed
-/// replicate-dense default for MLP-M, CNN-1, and the full-size VGG-D,
+/// Runs the latency-objective mapping search against the fixed default
+/// mapping for MLP-M, CNN-1, and the full-size VGG-D,
 /// under the same [`SimCostModel`] the serving registry deploys with.
 /// The comparison is analytical (no crossbars programmed), so the full
 /// ~1.4x10^8-synapse VGG-D costs milliseconds here, and the smoke run
@@ -591,12 +533,7 @@ fn measure_search() -> Vec<SearchRow> {
         .into_iter()
         .map(|bench| {
             let spec = bench.spec();
-            let fixed = search_mapping(
-                &spec,
-                &target,
-                Objective::Fixed(MappingStrategy::ReplicateDense),
-                &SimCostModel,
-            );
+            let fixed = search_mapping(&spec, &target, Objective::Fixed, &SimCostModel);
             let searched = search_mapping(&spec, &target, Objective::Latency, &SimCostModel);
             let fixed_cost = fixed
                 .chosen()
@@ -668,11 +605,7 @@ fn check_baseline(
         );
         failed = true;
     }
-    let vgg_deploy_ms = vgg
-        .strategies
-        .iter()
-        .map(|s| s.deploy_ms)
-        .fold(f64::INFINITY, f64::min);
+    let vgg_deploy_ms = vgg.deploy_ms;
     let vgg_limit = baseline.vgg_full_deploy_ms * BASELINE_NS_TOLERANCE;
     if vgg_deploy_ms > vgg_limit {
         eprintln!(
@@ -839,17 +772,9 @@ fn main() {
         );
     }
 
-    // The paper's VGG-D at full weight scale on the device runner. The
-    // full run measures both weight-layout strategies and asserts their
-    // outputs bit-identical; the smoke run deploys once (shared-kernel),
-    // enough for the deploy-time regression gate.
-    let vgg_strategies: &[MappingStrategy] = if smoke {
-        &[MappingStrategy::SharedKernel]
-    } else {
-        &[MappingStrategy::ReplicateDense, MappingStrategy::SharedKernel]
-    };
+    // The paper's VGG-D at full weight scale on the device runner.
     println!("\nVGG-D (full) on the device runner:");
-    let vgg_full = measure_vgg_full(vgg_strategies);
+    let vgg_full = measure_vgg_full();
 
     // Searched-vs-fixed mapping comparison (analytical, so cheap enough
     // to run in full even under --smoke).

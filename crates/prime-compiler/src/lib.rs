@@ -29,9 +29,8 @@ mod target;
 
 pub use error::CompileError;
 pub use mapping::{
-    enumerate_candidates, map_network, pipeline_credits, select_strategy, CompileOptions,
-    LayerMapping, LayoutFootprint, MappingStrategy, NetworkMapping, NnScale, Objective,
-    PipelineStage,
+    enumerate_candidates, map_network, pipeline_credits, CompileOptions, LayerMapping,
+    LayoutFootprint, NetworkMapping, NnScale, Objective, PipelineStage,
 };
 pub use placement::ImagePlacement;
 pub use target::HwTarget;

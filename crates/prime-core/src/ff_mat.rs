@@ -71,9 +71,9 @@ impl Default for MatDatapath {
 ///
 /// Bank state scales with the weights actually resident: a vacant mat
 /// (`None`) carries no pair at all and reads as all-zero; a written mat
-/// holds a refcounted pair. Under the shared-kernel layout one tile's
-/// `Arc` is aliased by every placement (cloning the store clones the
-/// handle), and any write to an alias copies first (`Arc::make_mut`).
+/// holds a refcounted pair. Cloning the store clones the handle, so one
+/// tile's `Arc` is aliased by every placement deployed from it, and any
+/// write to an alias copies first (`Arc::make_mut`).
 /// `Arc` rather than `Rc` because banks cross thread scopes during
 /// parallel inference.
 #[derive(Debug, Clone)]
@@ -269,28 +269,10 @@ impl FfMat {
         Arc::make_mut(arc)
     }
 
-    /// Freezes this mat's pair into a shareable tile and returns the
-    /// handle, or `None` for a vacant mat. Cloning the mat afterwards
-    /// aliases the tile instead of copying it; any later write to an
-    /// alias copies first.
-    pub fn freeze_shared(&mut self) -> Option<Arc<PairedCrossbar>> {
-        self.pair.0.as_ref().map(Arc::clone)
-    }
-
     /// The shared tile this mat's pair aliases, if other placements
     /// currently reference the same physical tile.
     pub fn shared_tile(&self) -> Option<&Arc<PairedCrossbar>> {
         self.pair.0.as_ref().filter(|arc| Arc::strong_count(arc) > 1)
-    }
-
-    /// A copy of this mat that owns its pair outright, whatever the
-    /// source's aliasing (the replicate-dense clone).
-    pub fn deep_clone(&self) -> FfMat {
-        let mut copy = self.clone();
-        if let Some(arc) = &self.pair.0 {
-            copy.pair = PairStore(Some(Arc::new(PairedCrossbar::clone(arc))));
-        }
-        copy
     }
 
     /// Resident bytes of this mat's pair storage. Aliased tiles report
@@ -882,5 +864,75 @@ mod tests {
     fn weight_shape_tracks_programming() {
         let mat = programmed_mat(&[1, 2, 3, 4, 5, 6], 3, 2);
         assert_eq!(mat.weight_shape(), (3, 2));
+    }
+
+    /// A cloned mat aliases its source's tile; `mutate` must split the
+    /// clone off before writing, leaving the source's outputs untouched
+    /// and neither mat reporting a shared tile afterwards.
+    fn assert_write_splits_alias(mutate: impl FnOnce(&mut FfMat)) {
+        use prime_device::NoiseModel;
+        use rand::SeedableRng;
+        let rows = 16;
+        let cols = 4;
+        let weights: Vec<i32> = (0..rows * cols)
+            .map(|i| ((i * 23) % 301) as i32 - 150)
+            .collect();
+        let inputs: Vec<u16> = (0..rows).map(|i| ((i * 9) % 64) as u16).collect();
+        let mut original = programmed_mat(&weights, rows, cols);
+        let digital = original.compute(&inputs).unwrap();
+        let mut clone = original.clone();
+        assert!(original.shared_tile().is_some() && clone.shared_tile().is_some());
+        mutate(&mut clone);
+        assert!(
+            original.shared_tile().is_none() && clone.shared_tile().is_none(),
+            "the write did not split the alias"
+        );
+        assert_eq!(original.compute(&inputs).unwrap(), digital);
+        // The analog levels are the source's own too: no programming
+        // noise leaked through the former alias.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let analog = original
+            .compute_analog(&inputs, &NoiseModel::ideal(), &mut rng)
+            .unwrap();
+        assert_eq!(analog, digital);
+    }
+
+    #[test]
+    fn reprogramming_a_clone_leaves_the_source_intact() {
+        assert_write_splits_alias(|clone| {
+            clone.set_function(MatFunction::Program);
+            clone.program_composed(&[7; 16 * 4], 16, 4).unwrap();
+            clone.set_function(MatFunction::Compute);
+        });
+    }
+
+    #[test]
+    fn program_noise_on_a_clone_leaves_the_source_intact() {
+        use rand::SeedableRng;
+        assert_write_splits_alias(|clone| {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
+            clone.apply_program_noise(&prime_device::NoiseModel::crossbar_default(), &mut rng);
+        });
+    }
+
+    #[test]
+    fn morphing_a_clone_to_memory_leaves_the_source_intact() {
+        assert_write_splits_alias(|clone| clone.set_function(MatFunction::Memory));
+    }
+
+    #[test]
+    fn memory_writes_on_a_clone_leave_the_source_intact() {
+        // The memory-mode view is split off once by the morph; a clone of
+        // it then shares that memory-mode tile until the row write.
+        assert_write_splits_alias(|clone| {
+            clone.set_function(MatFunction::Memory);
+            let before = clone.read_memory_row(3, 256).unwrap();
+            let mut writer = clone.clone();
+            assert!(clone.shared_tile().is_some());
+            writer.write_memory_row(3, &[true; 256]).unwrap();
+            assert!(clone.shared_tile().is_none() && writer.shared_tile().is_none());
+            assert_eq!(clone.read_memory_row(3, 256).unwrap(), before);
+            assert_eq!(writer.read_memory_row(3, 256).unwrap(), vec![true; 256]);
+        });
     }
 }

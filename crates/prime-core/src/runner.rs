@@ -47,7 +47,7 @@
 use serde::{Deserialize, Serialize};
 
 use prime_circuits::{mean_pool_weights, ComposingScheme, MaxPoolUnit, PrecisionController};
-use prime_compiler::{MappingStrategy, PipelineStage};
+use prime_compiler::PipelineStage;
 use prime_device::NoiseModel;
 use prime_mem::{BufAddr, Command, FfAddr, MatAddr, MatFunction};
 use prime_nn::{Activation, Layer, Network, PoolKind};
@@ -838,17 +838,13 @@ impl CommandRunner {
     /// bank group, without recompiling: quantization, SA windows, and
     /// requantization shifts are carried by the plan itself, so a replica
     /// only needs the programmed crossbar pairs. Each placed tile's mat
-    /// is either deep-copied (replicate-dense: the replica owns its
-    /// bytes) or adopted by reference (shared-kernel: the replica's mat
-    /// aliases the source tile, adding zero bank state) according to the
-    /// per-layer `layer_strategies` — the compiler's
-    /// [`MappingStrategy`] selection, indexed by global layer; missing
-    /// entries fall back to replicate-dense.
+    /// adopts the source tile by reference (`FfMat::clone` aliases the
+    /// refcounted pair), so a replica adds no crossbar state; any later
+    /// write to either placement copies first.
     ///
     /// Outputs are bit-identical to an independent compile onto `dst`:
-    /// weight programming is deterministic, so a copied pair equals a
-    /// reprogrammed one, and an aliased pair is read through exactly the
-    /// codes every placement would have programmed.
+    /// weight programming is deterministic, so an aliased pair is read
+    /// through exactly the codes every placement would have programmed.
     ///
     /// # Errors
     ///
@@ -858,7 +854,6 @@ impl CommandRunner {
         &self,
         src: &[BankController],
         dst: &mut [BankController],
-        layer_strategies: &[MappingStrategy],
     ) -> Result<Self, PrimeError> {
         let spanned = self.banks_spanned();
         if src.len() < spanned || dst.len() < spanned {
@@ -871,25 +866,9 @@ impl CommandRunner {
             });
         }
         for stage in &self.stages {
-            for (index, layer) in self
-                .layers
-                .iter()
-                .enumerate()
-                .take(stage.layers.1)
-                .skip(stage.layers.0)
-            {
-                let strategy = layer_strategies
-                    .get(index)
-                    .copied()
-                    .unwrap_or(MappingStrategy::ReplicateDense);
+            for layer in self.layers.iter().take(stage.layers.1).skip(stage.layers.0) {
                 for tile in &layer.tiles {
-                    let source = src[stage.bank].mat(tile.mat);
-                    *dst[stage.bank].mat_mut(tile.mat) = match strategy {
-                        // `FfMat::clone` aliases the programmed pair
-                        // behind a shared refcounted handle.
-                        MappingStrategy::SharedKernel => source.clone(),
-                        MappingStrategy::ReplicateDense => source.deep_clone(),
-                    };
+                    *dst[stage.bank].mat_mut(tile.mat) = src[stage.bank].mat(tile.mat).clone();
                 }
             }
         }

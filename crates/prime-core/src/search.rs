@@ -2,8 +2,7 @@
 //!
 //! PRIME §IV fixes its replication/split/pipeline choices by heuristic;
 //! this module replaces that with a small search. The compiler
-//! enumerates (strategy × replication factor × pipeline split)
-//! candidates ([`prime_compiler::enumerate_candidates`]); each candidate
+//! enumerates (replication factor × pipeline split) candidates ([`prime_compiler::enumerate_candidates`]); each candidate
 //! is compiled, statically verified (Pass 1 deployment invariants and —
 //! where an in-memory lowering exists — the Pass 3 abstract
 //! interpreter), and scored by a [`MappingCostModel`]; the argmin under
@@ -22,8 +21,7 @@
 use serde::{Deserialize, Serialize};
 
 use prime_compiler::{
-    enumerate_candidates, map_network, CompileOptions, HwTarget, MappingStrategy, NetworkMapping,
-    Objective,
+    enumerate_candidates, map_network, CompileOptions, HwTarget, NetworkMapping, Objective,
 };
 use prime_nn::NetworkSpec;
 
@@ -70,15 +68,14 @@ pub enum CandidateVerdict {
 pub struct CandidateReport {
     /// The compile options that generate this candidate.
     pub options: CompileOptions,
-    /// Requested weight-layout strategy.
-    pub strategy: MappingStrategy,
     /// Inter-bank pipeline stages (1 when the network fits a bank).
     pub stages: usize,
     /// Whole-network copies across the memory's banks.
     pub copies: usize,
-    /// Weight cells resident after deploy, honoring each layer's
-    /// selected layout (`NetworkMapping::deploy_cells`).
-    pub resident_cells: u64,
+    /// Physical weight cells every placement occupies
+    /// (`NetworkMapping::footprint().placed_cells`). Tile aliasing is
+    /// host-memory dedup only: each bank still owns its cells.
+    pub placed_cells: u64,
     /// FF mats reserved at bank granularity.
     pub allocated_mats: usize,
     /// Cost-model score (`None` for pruned candidates).
@@ -91,14 +88,12 @@ impl CandidateReport {
     /// One-line rendering for registration logs and bench reports.
     pub fn describe(&self) -> String {
         let knobs = format!(
-            "{} cap={} max_copies={}",
-            self.strategy.name(),
-            self.options.stage_mats_cap,
-            self.options.max_copies
+            "cap={} max_copies={}",
+            self.options.stage_mats_cap, self.options.max_copies
         );
         let shape = format!(
-            "stages={} copies={} resident_cells={}",
-            self.stages, self.copies, self.resident_cells
+            "stages={} copies={} placed_cells={}",
+            self.stages, self.copies, self.placed_cells
         );
         let score = match &self.cost {
             Some(c) => format!(
@@ -204,23 +199,22 @@ fn strictly_better(
     a: (&CandidateReport, CandidateCost),
     b: (&CandidateReport, CandidateCost),
     min_interval: f64,
-    min_resident: f64,
+    min_cells: f64,
 ) -> bool {
     match objective {
         // `Fixed` never reaches the search, but the total match keeps
         // the selection rule defined for every objective: fall back to
         // latency ordering.
-        Objective::Latency | Objective::Fixed(_) => {
+        Objective::Latency | Objective::Fixed => {
             (a.1.interval_ns, a.1.image_ns) < (b.1.interval_ns, b.1.image_ns)
         }
         Objective::Memory => {
-            a.0.resident_cells < b.0.resident_cells
-                || (a.0.resident_cells == b.0.resident_cells
-                    && a.1.interval_ns < b.1.interval_ns)
+            a.0.placed_cells < b.0.placed_cells
+                || (a.0.placed_cells == b.0.placed_cells && a.1.interval_ns < b.1.interval_ns)
         }
         Objective::Balanced => {
             let score = |r: &CandidateReport, c: CandidateCost| {
-                c.interval_ns / min_interval + r.resident_cells as f64 / min_resident
+                c.interval_ns / min_interval + r.placed_cells as f64 / min_cells
             };
             score(a.0, a.1) < score(b.0, b.1)
         }
@@ -242,9 +236,10 @@ pub fn search_mapping(
     model: &dyn MappingCostModel,
 ) -> MappingSearch {
     let options_list = match objective {
-        Objective::Fixed(strategy) => {
-            vec![CompileOptions { replicate: false, ..CompileOptions::fixed(strategy) }]
-        }
+        Objective::Fixed => vec![CompileOptions {
+            replicate: false,
+            ..CompileOptions::default()
+        }],
         _ => enumerate_candidates(spec, &target.hw),
     };
     let mut candidates: Vec<CandidateReport> = Vec::with_capacity(options_list.len());
@@ -255,10 +250,9 @@ pub fn search_mapping(
                 let cost = model.score(spec, &target.hw, &mapping);
                 candidates.push(CandidateReport {
                     options,
-                    strategy: options.strategy(),
                     stages: mapping.pipeline.len().max(1),
                     copies: mapping.copies_across_memory,
-                    resident_cells: mapping.deploy_cells(),
+                    placed_cells: mapping.footprint().placed_cells,
                     allocated_mats: mapping.allocated_mats,
                     cost: Some(cost),
                     verdict: CandidateVerdict::Beaten,
@@ -268,10 +262,9 @@ pub fn search_mapping(
             Err(reason) => {
                 candidates.push(CandidateReport {
                     options,
-                    strategy: options.strategy(),
                     stages: 0,
                     copies: 0,
-                    resident_cells: 0,
+                    placed_cells: 0,
                     allocated_mats: 0,
                     cost: None,
                     verdict: CandidateVerdict::Pruned { reason },
@@ -283,15 +276,15 @@ pub fn search_mapping(
     // Survivor minima for the Balanced normalization (guarded away from
     // zero so the ratios stay finite).
     let mut min_interval = f64::INFINITY;
-    let mut min_resident = f64::INFINITY;
+    let mut min_cells = f64::INFINITY;
     for (candidate, cost) in candidates.iter().zip(&costs) {
         if let Some(cost) = cost {
             min_interval = min_interval.min(cost.interval_ns);
-            min_resident = min_resident.min(candidate.resident_cells as f64);
+            min_cells = min_cells.min(candidate.placed_cells as f64);
         }
     }
     let min_interval = min_interval.max(f64::MIN_POSITIVE);
-    let min_resident = min_resident.max(1.0);
+    let min_cells = min_cells.max(1.0);
     // First-wins argmin: a later candidate must be *strictly* better to
     // displace the incumbent, so ties keep the fixed default placement.
     let mut best: Option<usize> = None;
@@ -306,7 +299,7 @@ pub fn search_mapping(
                         (&candidates[idx], *cost),
                         (&candidates[incumbent], inc_cost),
                         min_interval,
-                        min_resident,
+                        min_cells,
                     ),
                     None => true,
                 };
@@ -369,19 +362,18 @@ mod tests {
     }
 
     #[test]
-    fn memory_search_prefers_the_shared_layout() {
+    fn memory_search_prices_physical_cells() {
         let target = Target::prime_default();
         let spec = MlBench::Cnn1.spec();
         let search = search_mapping(&spec, &target, Objective::Memory, &ToyModel);
         let chosen = search.chosen().expect("a candidate survives");
-        assert_eq!(chosen.strategy, MappingStrategy::SharedKernel, "{}", search.describe());
-        // Shared layout with full copies has the same resident cells as
-        // a single copy but a strictly smaller interval, so it must beat
-        // every copy-capped candidate.
+        // Every bank owns its cells whatever the host-side aliasing, so
+        // the fewest copies occupy the fewest cells.
+        assert_eq!(chosen.options.max_copies, 1, "{}", search.describe());
         for other in search.rejected() {
-            if let Some(_cost) = &other.cost {
+            if other.cost.is_some() {
                 assert!(
-                    chosen.resident_cells <= other.resident_cells,
+                    chosen.placed_cells < other.placed_cells,
                     "{}",
                     search.describe()
                 );
@@ -412,18 +404,13 @@ mod tests {
     }
 
     #[test]
-    fn fixed_objective_searches_only_the_pinned_candidate() {
+    fn fixed_objective_searches_only_the_default_candidate() {
         let target = Target::prime_default();
-        let search = search_mapping(
-            &MlBench::MlpS.spec(),
-            &target,
-            Objective::Fixed(MappingStrategy::SharedKernel),
-            &ToyModel,
-        );
+        let search = search_mapping(&MlBench::MlpS.spec(), &target, Objective::Fixed, &ToyModel);
         assert_eq!(search.candidates.len(), 1);
         assert_eq!(
-            search.chosen().map(|c| c.strategy),
-            Some(MappingStrategy::SharedKernel)
+            search.chosen().map(|c| c.options),
+            Some(CompileOptions { replicate: false, ..CompileOptions::default() })
         );
     }
 

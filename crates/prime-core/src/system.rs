@@ -26,13 +26,14 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use prime_compiler::{map_network, CompileOptions, HwTarget, MappingStrategy, Objective};
+use prime_compiler::{map_network, CompileOptions, HwTarget, Objective};
 use prime_device::NoiseModel;
 use prime_mem::{FfReservationMap, MatAddr, MorphDecision, MorphPolicy, PageMissTracker, WearLeveler};
 use prime_nn::Network;
 
 use crate::controller::BankController;
 use crate::error::PrimeError;
+use crate::ff_mat::FfMat;
 use crate::runner::{CommandRunner, InferScratch};
 use crate::search::{search_mapping, MappingCostModel, MappingSearch};
 
@@ -60,10 +61,9 @@ pub struct SystemStats {
     pub wear_imbalance: f64,
 }
 
-/// Cost report of the most recent [`PrimeSystem::deploy_with`]: how long
-/// programming took and how much crossbar state the deployment keeps
-/// resident, with the shared-tile accounting that distinguishes the two
-/// [`MappingStrategy`] layouts. Auto-selected deployments
+/// Cost report of the most recent deployment: how long programming took
+/// and how much crossbar state the deployment keeps resident once every
+/// replica aliases copy 0's tiles. Auto-selected deployments
 /// ([`PrimeSystem::deploy_auto`]) additionally carry the full
 /// [`MappingSearch`] report — the chosen candidate and every rejected
 /// alternative.
@@ -74,24 +74,21 @@ pub struct DeployStats {
     pub wall_ms: f64,
     /// NN copies placed across the memory.
     pub copies: usize,
-    /// The strategy the deployment was compiled under (per-layer
-    /// fallbacks may still pick replicate-dense; see `aliased_placements`).
-    pub strategy: MappingStrategy,
     /// Distinct programmed crossbar pairs resident in the memory.
     pub unique_tiles: usize,
-    /// Mat placements that alias a shared tile instead of owning bytes.
+    /// Mat placements that alias a shared tile instead of owning bytes
+    /// (every placement of a tile except the one counted as its owner).
     pub aliased_placements: usize,
     /// Bank state resident after deployment, counting each shared tile
     /// once (bytes).
     pub resident_bytes: usize,
-    /// What the same placements would hold if every one owned its bytes
-    /// (the replicate-dense footprint of this deployment), for the
-    /// dedup ratio `resident_bytes / dense_bytes`.
+    /// What the same placements would hold if every one owned its bytes,
+    /// for the dedup ratio `resident_bytes / dense_bytes`.
     pub dense_bytes: usize,
     /// The mapping-search report when the deployment auto-selected its
     /// mapping ([`PrimeSystem::deploy_auto`]): the chosen candidate and
     /// every rejected alternative with scores and pruning reasons.
-    /// `None` for fixed-strategy deployments.
+    /// `None` for fixed deployments.
     pub search: Option<MappingSearch>,
 }
 
@@ -240,6 +237,12 @@ impl PrimeSystem {
     /// networks follow `Mapping::pipeline`: each copy spans
     /// `banks_per_copy` consecutive banks, one stage per bank (§IV-B).
     ///
+    /// Copy 0 is programmed (and calibrated) once; every other copy
+    /// aliases its tiles copy-on-write, so deploy wall-time and resident
+    /// bank state scale with unique weights rather than copies, while
+    /// every bank still executes its own placement. The cost report
+    /// lands in [`deploy_stats`](Self::deploy_stats).
+    ///
     /// # Errors
     ///
     /// Returns [`PrimeError::Rejected`] carrying the verifier diagnostics
@@ -248,44 +251,22 @@ impl PrimeSystem {
     /// precision budgets overflow, ...), or another [`PrimeError`] for
     /// unsupported layers.
     pub fn deploy(&mut self, net: &Network, calibration: &[f32]) -> Result<(), PrimeError> {
-        self.deploy_with(net, calibration, MappingStrategy::ReplicateDense)
-    }
-
-    /// [`deploy`](Self::deploy) with an explicit weight-layout
-    /// [`MappingStrategy`]. Under [`MappingStrategy::SharedKernel`] each
-    /// unique weight tile is programmed (and calibrated) once and every
-    /// other placement aliases it, so deploy wall-time and resident bank
-    /// state scale with unique weights instead of placements; layers the
-    /// compiler scores as having no reuse fall back to replicate-dense
-    /// per layer. Inference outputs are bit-identical under both
-    /// strategies. The cost report lands in
-    /// [`deploy_stats`](Self::deploy_stats).
-    ///
-    /// # Errors
-    ///
-    /// As [`deploy`](Self::deploy).
-    pub fn deploy_with(
-        &mut self,
-        net: &Network,
-        calibration: &[f32],
-        strategy: MappingStrategy,
-    ) -> Result<(), PrimeError> {
-        let options = CompileOptions { replicate: false, ..CompileOptions::fixed(strategy) };
+        let options = CompileOptions { replicate: false, ..CompileOptions::default() };
         self.deploy_compiled(net, calibration, options, None)
     }
 
     /// [`deploy`](Self::deploy) with cost-model-driven mapping search:
-    /// enumerates (strategy × replication factor × pipeline split)
-    /// candidates, keeps those the Pass 1–3 verifiers accept, scores
-    /// each with `model`, and deploys the argmin under `objective`.
+    /// enumerates (replication factor × pipeline split) candidates,
+    /// keeps those the Pass 1–3 verifiers accept, scores each with
+    /// `model`, and deploys the argmin under `objective`.
     /// Illegal candidates are pruned, not errors. The full search report
     /// — chosen candidate plus rejected alternatives — lands in
     /// [`DeployStats::search`].
     ///
     /// [`Objective::Fixed`] skips the search entirely and behaves
-    /// exactly like [`deploy_with`](Self::deploy_with) — including
-    /// leaving `DeployStats::search` empty — so the pre-search path
-    /// stays bit-compatible.
+    /// exactly like [`deploy`](Self::deploy) — including leaving
+    /// `DeployStats::search` empty — so the pre-search path stays
+    /// bit-compatible.
     ///
     /// # Errors
     ///
@@ -298,8 +279,8 @@ impl PrimeSystem {
         objective: Objective,
         model: &dyn MappingCostModel,
     ) -> Result<(), PrimeError> {
-        if let Objective::Fixed(strategy) = objective {
-            return self.deploy_with(net, calibration, strategy);
+        if objective == Objective::Fixed {
+            return self.deploy(net, calibration);
         }
         // Capability check first, as in the fixed path: a network the
         // runner cannot execute must fail identically under search.
@@ -343,7 +324,8 @@ impl PrimeSystem {
 
     /// The shared deployment path: compile `net` under `options`, verify
     /// (Pass 1 before any bank state changes, Pass 3 after replication
-    /// but before install), program, replicate, and account.
+    /// but before install), tear down the previous deployment, program,
+    /// replicate, and account.
     fn deploy_compiled(
         &mut self,
         net: &Network,
@@ -374,6 +356,10 @@ impl PrimeSystem {
         if !diagnostics.is_empty() {
             return Err(PrimeError::Rejected { diagnostics });
         }
+        // The mapping is legal: retire the previous deployment so none of
+        // its tiles outlive it. From here on a failure leaves the system
+        // undeployed.
+        self.undeploy();
         // Compile every copy first (failure leaves no partial state
         // visible to the OS bookkeeping). The bank group is sized by the
         // stage list itself, not `mapping.banks_per_copy`: greedy packing
@@ -392,17 +378,15 @@ impl PrimeSystem {
         // stage banks are group-relative and programming is
         // deterministic, so a replicated copy is byte-identical to a
         // recompiled one — at the cost of a mat clone per tile instead
-        // of a full program/calibrate pass. Shared-kernel layers alias
-        // copy 0's tiles outright, so their replicas add no bank state.
-        let layer_strategies: Vec<MappingStrategy> =
-            mapping.layers.iter().map(|l| l.strategy).collect();
+        // of a full program/calibrate pass. Replicas alias copy 0's tiles
+        // outright, so they add no bank state.
         let (first_group, rest) = self.banks.split_at_mut(bpc);
         let first =
             CommandRunner::compile_pipeline(net, first_group, &mapping.pipeline, calibration)?;
         let mut runners = Vec::with_capacity(copies);
         for c in 1..copies {
             let group = &mut rest[(c - 1) * bpc..c * bpc];
-            runners.push(first.replicate_onto(first_group, group, &layer_strategies)?);
+            runners.push(first.replicate_onto(first_group, group)?);
         }
         runners.insert(0, first);
         // Static verification pass 3: abstractly interpret the lowered
@@ -422,7 +406,6 @@ impl PrimeSystem {
             return Err(PrimeError::Rejected { diagnostics });
         }
         let total: usize = runners.iter().map(CommandRunner::mats_used).sum();
-        self.reservations = FfReservationMap::new(self.banks.len() * self.mats_per_bank);
         self.reservations.reserve(total).map_err(PrimeError::Mem)?;
         self.runners = runners;
         self.banks_per_copy = bpc;
@@ -433,7 +416,6 @@ impl PrimeSystem {
         self.deploy_stats = Some(DeployStats {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             copies,
-            strategy: options.strategy(),
             unique_tiles,
             aliased_placements,
             resident_bytes,
@@ -443,9 +425,28 @@ impl PrimeSystem {
         Ok(())
     }
 
-    /// Cost report of the most recent deployment (`None` before any).
+    /// Cost report of the most recent deployment (`None` before any, or
+    /// after a deployment that failed past its Pass-1 check).
     pub fn deploy_stats(&self) -> Option<&DeployStats> {
         self.deploy_stats.as_ref()
+    }
+
+    /// Drops the deployed runners and their FF reservations and resets
+    /// every FF mat to the vacant mat `BankController::new` builds. All
+    /// of the mats are reset, not only the previous plan's placements, so
+    /// tiles a failed deploy programmed before erroring cannot linger
+    /// either.
+    fn undeploy(&mut self) {
+        self.runners.clear();
+        self.deploy_stats = None;
+        self.reservations = FfReservationMap::new(self.banks.len() * self.mats_per_bank);
+        for bank in &mut self.banks {
+            for subarray in 0..bank.ff_subarrays() {
+                for mat in 0..bank.mats_per_subarray() {
+                    *bank.mat_mut(MatAddr { subarray, mat }) = FfMat::new();
+                }
+            }
+        }
     }
 
     /// Crossbar weight state currently resident across every bank,
@@ -459,9 +460,9 @@ impl PrimeSystem {
 
     /// Walks every mat in every bank and returns `(unique_tiles,
     /// aliased_placements, resident_bytes, dense_bytes)`: distinct
-    /// programmed pairs, placements aliasing a shared pair, bytes with
-    /// shared pairs deduplicated (by tile identity), and bytes as if
-    /// every placement owned its codes.
+    /// programmed pairs, placements of a shared pair beyond the first
+    /// one seen (its owner), bytes with shared pairs deduplicated (by
+    /// tile identity), and bytes as if every placement owned its codes.
     fn tile_accounting(&self) -> (usize, usize, usize, usize) {
         let mut seen: HashSet<*const prime_device::PairedCrossbar> = HashSet::new();
         let (mut unique, mut aliased, mut resident, mut dense) = (0usize, 0usize, 0usize, 0usize);
@@ -472,10 +473,11 @@ impl PrimeSystem {
                     let bytes = mat.tile_state_bytes();
                     dense += bytes;
                     if let Some(tile) = mat.shared_tile() {
-                        aliased += 1;
                         if seen.insert(Arc::as_ptr(tile)) {
                             unique += 1;
                             resident += bytes;
+                        } else {
+                            aliased += 1;
                         }
                     } else if bytes > 0 {
                         unique += 1;
@@ -1019,59 +1021,63 @@ mod tests {
     }
 
     #[test]
-    fn shared_kernel_deploy_is_bit_identical_and_dedups_bank_state() {
+    fn replicas_alias_copy_zero_and_stay_exact() {
         let mut rng = SmallRng::seed_from_u64(303);
         let net = relu_net(&mut rng);
         let inputs: Vec<Vec<f32>> = (0..6)
             .map(|i| (0..12).map(|j| ((i * 5 + j) % 9) as f32 / 9.0).collect())
             .collect();
-        let mut dense = PrimeSystem::new(4, 2, 4, 2048);
-        dense
-            .deploy_with(&net, &[0.5; 12], MappingStrategy::ReplicateDense)
-            .unwrap();
-        let mut shared = PrimeSystem::new(4, 2, 4, 2048);
-        shared
-            .deploy_with(&net, &[0.5; 12], MappingStrategy::SharedKernel)
-            .unwrap();
+        let mut system = PrimeSystem::new(4, 2, 4, 2048);
+        system.deploy(&net, &[0.5; 12]).unwrap();
+        let mut single = PrimeSystem::new(1, 2, 4, 2048);
+        single.deploy(&net, &[0.5; 12]).unwrap();
         assert_eq!(
-            dense.infer_batch(&inputs).unwrap(),
-            shared.infer_batch(&inputs).unwrap(),
-            "weight layout changed the arithmetic"
+            system.infer_batch(&inputs).unwrap(),
+            single.infer_batch(&inputs).unwrap(),
+            "aliased replicas changed the arithmetic"
         );
-        let d = dense.deploy_stats().expect("stats after deploy").clone();
-        let s = shared.deploy_stats().expect("stats after deploy").clone();
-        assert_eq!(d.copies, 4);
+        let s = system.deploy_stats().expect("stats after deploy").clone();
+        let one = single.deploy_stats().expect("stats after deploy").clone();
+        // 12-8-3 on 4 banks: 2 unique tiles, each placed once per copy;
+        // the 3 replica copies alias copy 0's tiles.
         assert_eq!(s.copies, 4);
-        // Dense: every placement owns its bytes; nothing is aliased.
-        assert_eq!(d.aliased_placements, 0);
-        assert_eq!(d.resident_bytes, d.dense_bytes);
-        // Shared: the 3 replica copies alias copy 0's tiles, so resident
-        // state is the unique-weight footprint — a quarter of dense.
-        assert!(s.aliased_placements > 0);
-        assert_eq!(s.dense_bytes, d.dense_bytes);
+        assert_eq!(s.unique_tiles, 2);
+        assert_eq!(s.unique_tiles, one.unique_tiles);
+        assert_eq!(s.aliased_placements, (s.copies - 1) * s.unique_tiles);
+        assert_eq!(s.resident_bytes, one.resident_bytes);
         assert_eq!(s.resident_bytes * s.copies, s.dense_bytes);
-        assert!(s.unique_tiles < d.unique_tiles);
-        assert_eq!(shared.resident_state_bytes(), s.resident_bytes);
+        assert_eq!(system.resident_state_bytes(), s.resident_bytes);
+        assert_eq!(one.aliased_placements, 0);
     }
 
     #[test]
-    fn replicated_copies_skip_reprogramming_but_stay_exact() {
-        // The replicate-based deploy must hand out copies byte-identical
-        // to compiling each group independently: the same input routed to
-        // any copy produces the same output (round-robin places input i
-        // on copy i % copies).
-        let mut rng = SmallRng::seed_from_u64(304);
-        let net = relu_net(&mut rng);
-        let mut system = PrimeSystem::new(3, 2, 4, 2048);
-        system
-            .deploy_with(&net, &[0.5; 12], MappingStrategy::SharedKernel)
-            .unwrap();
-        assert_eq!(system.copies(), 3);
-        let input: Vec<f32> = (0..12).map(|j| (j % 5) as f32 / 5.0).collect();
-        let outputs = system
-            .infer_batch(&[input.clone(), input.clone(), input])
-            .unwrap();
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[0], outputs[2]);
+    fn redeploy_leaves_no_stale_tiles() {
+        let mut rng = SmallRng::seed_from_u64(305);
+        let mut big = Network::new(vec![
+            Layer::Fc(FullyConnected::new(200, 300, Activation::Relu)),
+            Layer::Fc(FullyConnected::new(300, 100, Activation::Relu)),
+            Layer::Fc(FullyConnected::new(100, 10, Activation::Identity)),
+        ])
+        .expect("widths match");
+        big.init_random(&mut rng);
+        let small = relu_net(&mut rng);
+        let inputs: Vec<Vec<f32>> = (0..5)
+            .map(|i| (0..12).map(|j| ((i * 3 + j) % 7) as f32 / 7.0).collect())
+            .collect();
+        let mut redeployed = PrimeSystem::new(4, 2, 4, 2048);
+        redeployed.deploy(&big, &[0.5; 200]).unwrap();
+        redeployed.deploy(&small, &[0.5; 12]).unwrap();
+        let mut fresh = PrimeSystem::new(4, 2, 4, 2048);
+        fresh.deploy(&small, &[0.5; 12]).unwrap();
+        let (r, f) = (
+            redeployed.deploy_stats().expect("deployed").clone(),
+            fresh.deploy_stats().expect("deployed").clone(),
+        );
+        assert_eq!(
+            (r.copies, r.unique_tiles, r.aliased_placements, r.resident_bytes, r.dense_bytes),
+            (f.copies, f.unique_tiles, f.aliased_placements, f.resident_bytes, f.dense_bytes)
+        );
+        assert_eq!(redeployed.stats().reserved_mats, fresh.stats().reserved_mats);
+        assert_eq!(redeployed.infer_batch(&inputs).unwrap(), fresh.infer_batch(&inputs).unwrap());
     }
 }

@@ -97,8 +97,8 @@ impl Registry {
     /// Deploys `net` onto `system` under a cost-model-driven mapping
     /// search and registers the result under `name`.
     ///
-    /// `objective` selects the mapping: [`Objective::Fixed`] pins a
-    /// strategy exactly as the pre-search deploy path did, while
+    /// `objective` selects the mapping: [`Objective::Fixed`] deploys the
+    /// paper-default mapping exactly as the pre-search path did, while
     /// `Latency`/`Memory`/`Balanced` enumerate candidate mappings, prune
     /// those the static verifiers reject, score the rest with the
     /// simulator-backed cost model, and deploy the argmin. The full
@@ -140,15 +140,9 @@ impl Registry {
                 return Err(ServeError::Deploy { model: name.to_string(), error })
             }
         }
-        self.log.push(match system.deploy_stats() {
-            Some(stats) => match &stats.search {
-                Some(search) => format!("registered `{name}`: {}", search.describe()),
-                None => format!(
-                    "registered `{name}`: fixed mapping ({})",
-                    stats.strategy.name()
-                ),
-            },
-            None => format!("registered `{name}`"),
+        self.log.push(match system.deploy_stats().and_then(|s| s.search.as_ref()) {
+            Some(search) => format!("registered `{name}`: {}", search.describe()),
+            None => format!("registered `{name}`: fixed mapping"),
         });
         self.models.push(ModelRuntime {
             name: name.to_string(),

@@ -137,12 +137,7 @@ mod tests {
         let target = Target::prime_default();
         for bench in MlBench::ALL {
             let spec = bench.spec();
-            let fixed = search_mapping(
-                &spec,
-                &target,
-                Objective::Fixed(prime_compiler::MappingStrategy::ReplicateDense),
-                &SimCostModel,
-            );
+            let fixed = search_mapping(&spec, &target, Objective::Fixed, &SimCostModel);
             let searched = search_mapping(&spec, &target, Objective::Latency, &SimCostModel);
             let fixed_cost = fixed.chosen().and_then(|c| c.cost).expect("fixed survives");
             let best_cost = searched.chosen().and_then(|c| c.cost).expect("search survives");

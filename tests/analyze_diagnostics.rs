@@ -7,12 +7,11 @@
 use proptest::prelude::*;
 
 use prime::analyze::{
-    analyze, check_pipeline, check_shared_layout, has_errors, shared_layout, tile_pn, Code,
-    Severity, SharedTileGroup, Target,
+    analyze, check_pipeline, check_shared_layout, has_errors, shared_layout, Code, Severity,
+    SharedTileGroup, Target,
 };
 use prime::compiler::{
-    map_network, CompileOptions, HwTarget, LayerMapping, MappingStrategy, NetworkMapping, NnScale,
-    PipelineStage,
+    map_network, CompileOptions, HwTarget, LayerMapping, NetworkMapping, NnScale, PipelineStage,
 };
 use prime::core::{PrimeError, PrimeSystem};
 use prime::nn::{Activation, FullyConnected, Layer, LayerSpec, MlBench, Network, NetworkSpec};
@@ -22,10 +21,8 @@ use rand::SeedableRng;
 
 /// `PrimeSystem::deploy` maps without replication (replicas would be an
 /// analytic utilization model, not a physical placement).
-const DEPLOY_OPTIONS: CompileOptions = CompileOptions {
-    replicate: false,
-    ..CompileOptions::fixed(MappingStrategy::ReplicateDense)
-};
+const DEPLOY_OPTIONS: CompileOptions =
+    CompileOptions { replicate: false, stage_mats_cap: 0, max_copies: 0 };
 
 fn error_codes(diags: &[prime::analyze::Diagnostic]) -> Vec<Code> {
     diags
@@ -52,7 +49,6 @@ fn fc_layer(inputs: usize, outputs: usize, hw: &HwTarget) -> LayerMapping {
         extra_replicas: 0,
         vectors_per_inference: 1,
         merge_adds: 0,
-        strategy: MappingStrategy::ReplicateDense,
         tile_refs: 1,
     }
 }
@@ -70,7 +66,6 @@ fn fixture_mapping(layers: Vec<LayerMapping>, pipeline: Vec<PipelineStage>) -> N
         utilization_after: 0.5,
         copies_across_memory: 1,
         pipeline,
-        strategy: MappingStrategy::ReplicateDense,
     }
 }
 
@@ -143,43 +138,11 @@ fn precision_overflow_is_rejected_with_p010() {
     assert_eq!(codes, vec![Code::P010], "got {codes:?}");
 }
 
-/// A legal shared-tile group fixture; the P02x tests below break one
-/// field at a time.
-fn shared_group(target: &Target) -> SharedTileGroup {
-    SharedTileGroup {
-        layer: 0,
-        rows: 100,
-        cols: 64,
-        tiles: 2,
-        refs: 4,
-        pn: tile_pn(100),
-        cell_bits: target.cell_bits,
-    }
-}
-
-#[test]
-fn shared_tile_scheme_drift_is_rejected_with_p021() {
-    let target = Target::prime_default();
-    let good = shared_group(&target);
-    assert_eq!(check_shared_layout(&[good], &target), vec![], "fixture must start legal");
-    // An alias assuming a different PN than programming derives from the
-    // driven rows would sense through a mismatched output window.
-    let bad_pn = SharedTileGroup { pn: tile_pn(100) + 1, ..good };
-    let codes: Vec<Code> =
-        check_shared_layout(&[bad_pn], &target).iter().map(|d| d.code).collect();
-    assert_eq!(codes, vec![Code::P021], "got {codes:?}");
-    // Same for MLC precision drift between aliases.
-    let bad_cells = SharedTileGroup { cell_bits: target.cell_bits + 1, ..good };
-    let codes: Vec<Code> =
-        check_shared_layout(&[bad_cells], &target).iter().map(|d| d.code).collect();
-    assert_eq!(codes, vec![Code::P021], "got {codes:?}");
-}
-
 #[test]
 fn shared_tile_refcount_overflow_is_rejected_with_p022() {
     let mut target = Target::prime_default();
     target.tile_ref_bits = 2; // per-mat reference counter holds refs <= 3
-    let good = SharedTileGroup { refs: 3, ..shared_group(&target) };
+    let good = SharedTileGroup { layer: 0, tiles: 2, refs: 3 };
     assert_eq!(check_shared_layout(&[good], &target), vec![], "3 refs fit 2 bits");
     let overflow = SharedTileGroup { refs: 4, ..good };
     let codes: Vec<Code> =
@@ -189,50 +152,33 @@ fn shared_tile_refcount_overflow_is_rejected_with_p022() {
     let codes: Vec<Code> =
         check_shared_layout(&[zero], &target).iter().map(|d| d.code).collect();
     assert_eq!(codes, vec![Code::P022], "got {codes:?}");
-}
-
-#[test]
-fn shared_kernel_fallback_is_reported_as_p023_info() {
-    // VGG-D maps with one whole-memory copy under deploy semantics, so a
-    // SharedKernel request has no placement reuse to share: every layer
-    // falls back to ReplicateDense, each reported as Info-severity P023 —
-    // never an error.
-    let target = Target::prime_default();
-    let options = CompileOptions {
-        replicate: false,
-        ..CompileOptions::fixed(MappingStrategy::SharedKernel)
-    };
-    let spec = MlBench::VggD.spec();
-    let mapping = map_network(&spec, &target.hw, options).expect("VGG-D maps");
-    let diags = analyze(&spec, &target, &mapping);
-    assert!(!has_errors(&diags), "{}", prime::analyze::render_human(&diags));
-    let fallbacks =
-        diags.iter().filter(|d| d.code == Code::P023).count();
-    assert!(fallbacks > 0, "expected P023 fallback notes, got {diags:?}");
-    assert!(
-        diags.iter().filter(|d| d.code == Code::P023).all(|d| d.severity == Severity::Info),
-        "P023 must be informational"
-    );
-    assert!(shared_layout(&mapping, &target).is_empty(), "nothing is shared after fallback");
+    // The verifier runs the same check per layer of a real mapping.
+    let spec = MlBench::MlpS.spec();
+    let mapping = map_network(&spec, &target.hw, DEPLOY_OPTIONS).expect("MLP-S maps");
+    assert!(mapping.layers.iter().any(|l| l.tile_refs > 3), "64 copies alias every tile");
+    let codes = error_codes(&analyze(&spec, &target, &mapping));
+    assert!(codes.contains(&Code::P022), "got {codes:?}");
 }
 
 #[test]
 fn derived_shared_layouts_are_legal_for_every_workload() {
-    // Any shared-tile layout the compiler itself derives must pass the
-    // legality check — P021/P022 exist for hand-built or drifted state,
-    // never for the compiler's own output.
+    // Any shared-tile layout the compiler itself derives must fit the
+    // mat table — P022 exists for hand-built or drifted state, never for
+    // the compiler's own output.
     let target = Target::prime_default();
     for bench in MlBench::ALL {
         for replicate in [false, true] {
-            let options = CompileOptions {
-                replicate,
-                ..CompileOptions::fixed(MappingStrategy::SharedKernel)
-            };
+            let options = CompileOptions { replicate, ..CompileOptions::default() };
             let spec = bench.spec();
             let Ok(mapping) = map_network(&spec, &target.hw, options) else {
                 continue; // replicated VGG-D overflows the memory: not a layout question
             };
-            let groups = shared_layout(&mapping, &target);
+            let groups = shared_layout(&mapping);
+            assert_eq!(
+                groups.len(),
+                mapping.layers.iter().filter(|l| l.base_mats > 0).count(),
+                "one group per weight layer"
+            );
             let diags = check_shared_layout(&groups, &target);
             assert!(
                 diags.is_empty(),
@@ -333,15 +279,7 @@ fn diagnostics_are_reported_in_canonical_deterministic_order() {
     // The verifier's own output arrives pre-sorted.
     let target = Target::prime_default();
     let spec = MlBench::VggD.spec();
-    let mapping = map_network(
-        &spec,
-        &target.hw,
-        CompileOptions {
-            replicate: false,
-            ..CompileOptions::fixed(MappingStrategy::SharedKernel)
-        },
-    )
-    .expect("VGG-D maps");
+    let mapping = map_network(&spec, &target.hw, DEPLOY_OPTIONS).expect("VGG-D maps");
     let out = analyze(&spec, &target, &mapping);
     let mut sorted = out.clone();
     sort_diagnostics(&mut sorted);

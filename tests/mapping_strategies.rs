@@ -1,13 +1,13 @@
-//! Weight-layout strategy equivalence: a deployment under
-//! `MappingStrategy::SharedKernel` (unique tiles programmed once, every
-//! other placement aliasing them) must be indistinguishable at the
-//! outputs from `MappingStrategy::ReplicateDense` (every placement owns
-//! its bytes) — on the exact digital path, on the seeded noisy analog
+//! Replica aliasing equivalence: a deployment whose whole-network copies
+//! alias copy 0's tiles (every copy after the first adopts the
+//! programmed crossbar pairs copy-on-write instead of owning them) must be
+//! indistinguishable at the outputs from the same network deployed alone
+//! on one bank — on the exact digital path, on the seeded noisy analog
 //! path, across batch shapes and both batched engines — while keeping
-//! strictly less bank state resident whenever the memory holds more than
-//! one copy.
+//! only one copy's bank state resident. Deploying through the mapping
+//! search must be equally output-invisible.
 
-use prime::compiler::{MappingStrategy, Objective};
+use prime::compiler::Objective;
 use prime::core::PrimeSystem;
 use prime::device::NoiseModel;
 use prime::sim::SimCostModel;
@@ -15,6 +15,9 @@ use prime::nn::{Activation, Conv2d, FullyConnected, Layer, Network, Pool2d, Pool
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// Copies the 4-bank system holds (one per bank).
+const COPIES: usize = 4;
 
 /// Every layer kind the device runner executes: padded conv, max and
 /// mean pooling, ReLU FC hidden layer, identity head.
@@ -40,83 +43,102 @@ fn calibration(width: usize) -> Vec<f32> {
     (0..width).map(|j| ((j * 7) % 13) as f32 / 13.0).collect()
 }
 
-/// Deploys `net` twice on identical 4-bank systems (4 whole-network
-/// copies, so tile sharing engages), once per strategy.
+/// Deploys `net` on a 4-bank system (4 whole-network copies, 3 of them
+/// aliasing copy 0) and on a 1-bank system of the same bank geometry.
 fn deploy_both(net: &Network, width: usize) -> (PrimeSystem, PrimeSystem) {
-    let mut dense = PrimeSystem::new(4, 2, 4, 2048);
-    dense
-        .deploy_with(net, &calibration(width), MappingStrategy::ReplicateDense)
-        .expect("fits the memory");
-    let mut shared = PrimeSystem::new(4, 2, 4, 2048);
-    shared
-        .deploy_with(net, &calibration(width), MappingStrategy::SharedKernel)
-        .expect("fits the memory");
-    (dense, shared)
+    let mut aliased = PrimeSystem::new(COPIES, 2, 4, 2048);
+    aliased.deploy(net, &calibration(width)).expect("fits the memory");
+    assert_eq!(aliased.copies(), COPIES);
+    let mut single = PrimeSystem::new(1, 2, 4, 2048);
+    single.deploy(net, &calibration(width)).expect("fits the memory");
+    (aliased, single)
+}
+
+/// The 1-bank reference for a seeded noisy batch on a system holding
+/// `copies` single-bank copies. Input `i` runs on copy `i % copies`,
+/// whose bank draws from the stream seeded `seed + copy`; replaying each
+/// copy's inputs in order on the single bank, seeded the same way,
+/// consumes the same stream.
+fn single_bank_noisy(
+    single: &mut PrimeSystem,
+    inputs: &[Vec<f32>],
+    noise: &NoiseModel,
+    seed: u64,
+    copies: usize,
+) -> Vec<Vec<f32>> {
+    let mut outputs = vec![Vec::new(); inputs.len()];
+    for copy in 0..copies {
+        let mine: Vec<Vec<f32>> = inputs.iter().skip(copy).step_by(copies).cloned().collect();
+        let got = single
+            .infer_batch_noisy(&mine, noise, seed.wrapping_add(copy as u64))
+            .expect("runs");
+        for (k, out) in got.into_iter().enumerate() {
+            outputs[copy + k * copies] = out;
+        }
+    }
+    outputs
 }
 
 #[test]
-fn conv_outputs_are_bit_identical_across_strategies() {
+fn aliased_copies_match_one_bank_on_conv_nets() {
     let net = cnn_net(41);
-    let (mut dense, mut shared) = deploy_both(&net, 64);
+    let (mut aliased, mut single) = deploy_both(&net, 64);
     let inputs = cnn_batch(7);
+    let expected = single.infer_batch(&inputs).unwrap();
     for parallel in [false, true] {
-        dense.set_parallel(parallel);
-        shared.set_parallel(parallel);
+        aliased.set_parallel(parallel);
         assert_eq!(
-            dense.infer_batch(&inputs).unwrap(),
-            shared.infer_batch(&inputs).unwrap(),
+            aliased.infer_batch(&inputs).unwrap(),
+            expected,
             "digital outputs diverged (parallel={parallel})"
         );
     }
 }
 
 #[test]
-fn seeded_noisy_outputs_are_bit_identical_across_strategies() {
+fn aliased_copies_match_one_bank_under_seeded_noise() {
     let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
     let net = cnn_net(41);
-    let (mut dense, mut shared) = deploy_both(&net, 64);
-    let inputs = cnn_batch(5);
+    let (mut aliased, mut single) = deploy_both(&net, 64);
+    let inputs = cnn_batch(9);
+    let expected = single_bank_noisy(&mut single, &inputs, &noise, 0xDEED, COPIES);
     for parallel in [false, true] {
-        dense.set_parallel(parallel);
-        shared.set_parallel(parallel);
-        let a = dense.infer_batch_noisy(&inputs, &noise, 0xDEED).unwrap();
-        let b = shared.infer_batch_noisy(&inputs, &noise, 0xDEED).unwrap();
-        assert_eq!(a, b, "seeded noisy outputs diverged (parallel={parallel})");
+        aliased.set_parallel(parallel);
+        let got = aliased.infer_batch_noisy(&inputs, &noise, 0xDEED).unwrap();
+        assert_eq!(got, expected, "seeded noisy outputs diverged (parallel={parallel})");
     }
 }
 
 #[test]
 fn shared_kernel_keeps_less_bank_state_resident() {
     let net = cnn_net(41);
-    let (dense, shared) = deploy_both(&net, 64);
-    let d = dense.deploy_stats().expect("stats after deploy").clone();
-    let s = shared.deploy_stats().expect("stats after deploy").clone();
-    // Same placements, same would-be-dense footprint.
-    assert_eq!(s.dense_bytes, d.dense_bytes);
-    assert_eq!(d.resident_bytes, d.dense_bytes);
-    // Shared: only copy 0 owns bytes; the other 3 copies alias it.
-    assert_eq!(s.copies, 4);
-    assert_eq!(s.resident_bytes * s.copies, s.dense_bytes);
-    assert!(s.aliased_placements > 0);
-    assert_eq!(shared.resident_state_bytes(), s.resident_bytes);
-    assert!(s.wall_ms >= 0.0 && d.wall_ms >= 0.0);
+    let (aliased, single) = deploy_both(&net, 64);
+    let a = aliased.deploy_stats().expect("stats after deploy").clone();
+    let s = single.deploy_stats().expect("stats after deploy").clone();
+    // Only copy 0 owns bytes: the resident state is one copy's worth.
+    assert_eq!(a.unique_tiles, s.unique_tiles);
+    assert_eq!(a.resident_bytes, s.resident_bytes);
+    assert_eq!(a.resident_bytes * COPIES, a.dense_bytes);
+    assert_eq!(a.aliased_placements, (COPIES - 1) * a.unique_tiles);
+    assert_eq!(aliased.resident_state_bytes(), a.resident_bytes);
+    assert!(a.wall_ms >= 0.0 && s.wall_ms >= 0.0);
 }
 
 /// Deploying through the cost-model-driven mapping search
 /// (`deploy_auto`, any objective) must be output-invisible: whatever
-/// candidate the search picks, the digital and the seeded-noisy outputs
-/// are bit-identical to the fixed replicate-dense default deploy — the
-/// search optimizes cost, never arithmetic.
+/// candidate the search picks, the digital outputs are bit-identical to
+/// the fixed default deploy, and the seeded-noisy outputs to the same
+/// per-bank noise streams replayed on one bank — the search optimizes
+/// cost, never arithmetic. (A copy cap moves inputs onto fewer banks,
+/// and so onto fewer noise streams.)
 #[test]
 fn searched_deployments_are_bit_identical_to_fixed() {
     let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
     let net = cnn_net(41);
     let inputs = cnn_batch(5);
 
-    let mut fixed = PrimeSystem::new(4, 2, 4, 2048);
-    fixed.deploy(&net, &calibration(64)).expect("fits the memory");
+    let (mut fixed, mut single) = deploy_both(&net, 64);
     let digital = fixed.infer_batch(&inputs).expect("runs");
-    let noisy = fixed.infer_batch_noisy(&inputs, &noise, 0xDEED).expect("runs");
 
     for objective in [Objective::Latency, Objective::Memory, Objective::Balanced] {
         let mut searched = PrimeSystem::new(4, 2, 4, 2048);
@@ -137,10 +159,11 @@ fn searched_deployments_are_bit_identical_to_fixed() {
             "{}: digital outputs diverged from the fixed default",
             objective.name()
         );
+        let copies = searched.copies();
         assert_eq!(
             searched.infer_batch_noisy(&inputs, &noise, 0xDEED).expect("runs"),
-            noisy,
-            "{}: seeded noisy outputs diverged from the fixed default",
+            single_bank_noisy(&mut single, &inputs, &noise, 0xDEED, copies),
+            "{} ({copies} copies): seeded noisy outputs diverged",
             objective.name()
         );
     }
@@ -149,10 +172,10 @@ fn searched_deployments_are_bit_identical_to_fixed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Arbitrary weights, batch lengths, and engines: the weight layout
+    /// Arbitrary weights, batch lengths, and engines: aliasing replicas
     /// never changes the digital arithmetic.
     #[test]
-    fn strategies_agree_on_arbitrary_fc_stacks(
+    fn aliased_copies_match_one_bank_on_arbitrary_fc_stacks(
         seed in any::<u64>(),
         len in 1usize..6,
         parallel in any::<bool>(),
@@ -166,26 +189,27 @@ proptest! {
         let inputs: Vec<Vec<f32>> = (0..len)
             .map(|i| (0..20).map(|j| ((i * 7 + j) % 9) as f32 / 9.0).collect())
             .collect();
-        let (mut dense, mut shared) = deploy_both(&net, 20);
-        dense.set_parallel(parallel);
-        shared.set_parallel(parallel);
+        let (mut aliased, mut single) = deploy_both(&net, 20);
+        aliased.set_parallel(parallel);
         prop_assert_eq!(
-            dense.infer_batch(&inputs).unwrap(),
-            shared.infer_batch(&inputs).unwrap()
+            aliased.infer_batch(&inputs).unwrap(),
+            single.infer_batch(&inputs).unwrap()
         );
     }
 
-    /// The same holds on the noisy analog path under a shared seed: the
-    /// read-noise stream is drawn per bank in plan order, independent of
-    /// which placement owns the tile bytes.
+    /// The same holds on the noisy analog path: each bank draws its own
+    /// read-noise stream in plan order, independent of which placement
+    /// owns the tile bytes.
     #[test]
-    fn strategies_agree_under_seeded_noise(seed in any::<u64>(), noise_seed in any::<u64>()) {
+    fn aliased_copies_match_one_bank_under_arbitrary_noise_seeds(
+        seed in any::<u64>(),
+        noise_seed in any::<u64>(),
+    ) {
         let net = cnn_net(seed);
         let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.04 };
-        let inputs = cnn_batch(3);
-        let (mut dense, mut shared) = deploy_both(&net, 64);
-        let a = dense.infer_batch_noisy(&inputs, &noise, noise_seed).unwrap();
-        let b = shared.infer_batch_noisy(&inputs, &noise, noise_seed).unwrap();
-        prop_assert_eq!(a, b);
+        let inputs = cnn_batch(6);
+        let (mut aliased, mut single) = deploy_both(&net, 64);
+        let expected = single_bank_noisy(&mut single, &inputs, &noise, noise_seed, COPIES);
+        prop_assert_eq!(aliased.infer_batch_noisy(&inputs, &noise, noise_seed).unwrap(), expected);
     }
 }

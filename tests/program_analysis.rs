@@ -2,15 +2,15 @@
 //! deliberately corrupted plan must trip its pinned `P0xx` code, the
 //! statically lowered plans of the paper's workloads must be clean, and
 //! (by property) any deployment Pass 3 lets through must run inference —
-//! plain and seeded-noise — without an internal runtime error, under
-//! both mapping strategies.
+//! plain and seeded-noise — without an internal runtime error, with its
+//! replica copies aliasing copy 0's tiles.
 
 use proptest::prelude::*;
 
 use prime::analyze::{
     analyze_program, lower_program, Code, ProgramPlan, ProgramTile, Severity, Target,
 };
-use prime::compiler::{map_network, CompileOptions, MappingStrategy, NetworkMapping};
+use prime::compiler::{map_network, CompileOptions, NetworkMapping};
 use prime::core::{PrimeError, PrimeSystem};
 use prime::device::NoiseModel;
 use prime::nn::{
@@ -22,17 +22,15 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// `PrimeSystem::deploy` maps without replication.
-fn options(strategy: MappingStrategy) -> CompileOptions {
-    CompileOptions { replicate: false, ..CompileOptions::fixed(strategy) }
-}
+const DEPLOY_OPTIONS: CompileOptions =
+    CompileOptions { replicate: false, stage_mats_cap: 0, max_copies: 0 };
 
 /// A workload, its mapping, and its legal statically lowered plan — the
 /// base every corruption fixture starts from.
 fn lowered(bench: MlBench) -> (NetworkSpec, Target, NetworkMapping, ProgramPlan) {
     let target = Target::prime_default();
     let spec = bench.spec();
-    let mapping = map_network(&spec, &target.hw, options(MappingStrategy::ReplicateDense))
-        .expect("workload maps");
+    let mapping = map_network(&spec, &target.hw, DEPLOY_OPTIONS).expect("workload maps");
     let plan = lower_program(&spec, &target, &mapping).expect("workload lowers");
     (spec, target, mapping, plan)
 }
@@ -43,22 +41,18 @@ fn codes_of(diags: &[prime::analyze::Diagnostic]) -> Vec<Code> {
 
 #[test]
 fn lowered_workload_plans_are_clean() {
-    for strategy in [MappingStrategy::ReplicateDense, MappingStrategy::SharedKernel] {
-        for bench in MlBench::ALL {
-            let target = Target::prime_default();
-            let spec = bench.spec();
-            let mapping =
-                map_network(&spec, &target.hw, options(strategy)).expect("workload maps");
-            let plan = lower_program(&spec, &target, &mapping).expect("workload lowers");
-            let diags = analyze_program(&spec, &target, &mapping, &plan);
-            assert!(
-                diags.iter().all(|d| d.severity < Severity::Warning),
-                "{} [{}]: {}",
-                bench.name(),
-                strategy.name(),
-                prime::analyze::render_human(&diags)
-            );
-        }
+    for bench in MlBench::ALL {
+        let target = Target::prime_default();
+        let spec = bench.spec();
+        let mapping = map_network(&spec, &target.hw, DEPLOY_OPTIONS).expect("workload maps");
+        let plan = lower_program(&spec, &target, &mapping).expect("workload lowers");
+        let diags = analyze_program(&spec, &target, &mapping, &plan);
+        assert!(
+            diags.iter().all(|d| d.severity < Severity::Warning),
+            "{}: {}",
+            bench.name(),
+            prime::analyze::render_human(&diags)
+        );
     }
 }
 
@@ -152,7 +146,7 @@ fn write_armed_shared_tile_is_rejected_with_p029() {
     let codes = codes_of(&analyze_program(&spec, &target, &mapping, &plan));
     assert!(codes.contains(&Code::P029), "expected P029, got {codes:?}");
     // Aliased but compute-mapped (copy-on-write armed) is the legal
-    // shared-kernel steady state — not a finding.
+    // replica steady state — not a finding.
     plan.layers[0].tiles[0] = ProgramTile { aliased: true, write_armed: false };
     let codes = codes_of(&analyze_program(&spec, &target, &mapping, &plan));
     assert!(!codes.contains(&Code::P029), "aliased read-only tile misflagged");
@@ -206,22 +200,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Pass 3 accepted ⇒ the runner executes without an internal error,
-    /// on both the plain and the seeded-noise path, under both mapping
-    /// strategies. Deployment refusals must be typed static rejections.
+    /// on both the plain and the seeded-noise path, on one bank or with
+    /// aliased replicas on four. Deployment refusals must be typed static
+    /// rejections.
     #[test]
     fn accepted_programs_run_without_internal_errors(
         seed in any::<u64>(),
-        strategy_bit in any::<bool>(),
+        replicas in any::<bool>(),
     ) {
-        let strategy = if strategy_bit {
-            MappingStrategy::SharedKernel
-        } else {
-            MappingStrategy::ReplicateDense
-        };
         let net = cnn_net(seed);
-        let mut system = PrimeSystem::new(4, 2, 4, 2048);
+        let mut system = PrimeSystem::new(if replicas { 4 } else { 1 }, 2, 4, 2048);
         let calibration = [0.5f32; 64];
-        match system.deploy_with(&net, &calibration, strategy) {
+        match system.deploy(&net, &calibration) {
             Ok(()) => {
                 let inputs: Vec<Vec<f32>> = (0..3)
                     .map(|b| (0..64).map(|i| ((b + i) % 9) as f32 / 9.0).collect())

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use prime::compiler::{MappingStrategy, Objective};
+use prime::compiler::Objective;
 use prime::core::PrimeSystem;
 use prime::device::NoiseModel;
 use prime::nn::{Activation, FullyConnected, Layer, Network};
@@ -116,7 +116,7 @@ fn served_outputs_are_bit_identical_under_concurrent_clients() {
                 queue_bound: 0,
             },
             noise(),
-            Objective::Fixed(MappingStrategy::ReplicateDense),
+            Objective::Fixed,
         )
         .expect("shedder deploys");
     let server = Server::bind("127.0.0.1:0", registry).expect("binds loopback");

@@ -74,8 +74,6 @@ pub enum Code {
     P015,
     /// Mapping is empty.
     P016,
-    /// Layer or activation the command runner cannot execute on the device.
-    P017,
     /// Conv kernel replication is illegal for the mat geometry (§IV-B).
     P018,
     /// A conv/pool im2col window cannot be staged through the FF buffer.
@@ -123,7 +121,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in catalog order.
-    pub const ALL: [Code; 34] = [
+    pub const ALL: [Code; 33] = [
         Code::P001,
         Code::P002,
         Code::P003,
@@ -140,7 +138,6 @@ impl Code {
         Code::P014,
         Code::P015,
         Code::P016,
-        Code::P017,
         Code::P018,
         Code::P019,
         Code::P020,
@@ -179,7 +176,6 @@ impl Code {
             Code::P014 => "P014",
             Code::P015 => "P015",
             Code::P016 => "P016",
-            Code::P017 => "P017",
             Code::P018 => "P018",
             Code::P019 => "P019",
             Code::P020 => "P020",
@@ -219,7 +215,6 @@ impl Code {
             Code::P014 => "utilization out of range",
             Code::P015 => "host fallback layer",
             Code::P016 => "empty mapping",
-            Code::P017 => "runner-unsupported layer",
             Code::P018 => "illegal kernel replication",
             Code::P019 => "window staging overflow",
             Code::P020 => "conv row ring not resident",

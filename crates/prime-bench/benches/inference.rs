@@ -1,10 +1,10 @@
-//! Criterion benches for software and FF-mat inference: the functional
-//! fidelity path behind the Figure 6 accuracy study.
+//! Criterion benches for software inference (the reference behind the
+//! Figure 6 accuracy study) and batched inference on the device runner.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use prime_core::{FfExecutor, PrimeSystem};
+use prime_core::PrimeSystem;
 use prime_nn::{Activation, DigitGenerator, FullyConnected, Layer, MlBench, Network};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -35,18 +35,6 @@ fn bench_quantized_forward(c: &mut Criterion) {
     let sample = DigitGenerator::default().sample(5, &mut rng);
     c.bench_function("quantized_forward_3bit", |b| {
         b.iter(|| quantized.forward_activation_quantized(black_box(&sample.pixels), 3).unwrap())
-    });
-}
-
-fn bench_ff_executor(c: &mut Criterion) {
-    let mut rng = SmallRng::seed_from_u64(11);
-    let net = digit_net(&mut rng);
-    let sample = DigitGenerator::default().sample(7, &mut rng);
-    c.bench_function("ff_executor_run_784_32_10", |b| {
-        b.iter(|| {
-            let mut exec = FfExecutor::new();
-            exec.run(black_box(&net), black_box(&sample.pixels)).unwrap()
-        })
     });
 }
 
@@ -93,7 +81,6 @@ criterion_group!(
     benches,
     bench_software_forward,
     bench_quantized_forward,
-    bench_ff_executor,
     bench_mlp_s_forward,
     bench_batched_bank_parallelism
 );

@@ -1,5 +1,5 @@
-//! Ablation of device non-ideality: classification accuracy of the
-//! functional FF-mat pipeline as ReRAM programming precision degrades.
+//! Ablation of device non-ideality: classification accuracy on the
+//! device runner as ReRAM programming precision degrades.
 //!
 //! The paper's precision scheme assumes cells tuned to ~1 % (isolated)
 //! to ~3 % (in-crossbar) relative conductance error \[31\]\[65\]; this sweep
@@ -15,7 +15,7 @@ use prime_sim::report::{format_table, to_json};
 fn main() {
     let sigmas = [0.0, 0.01, 0.03, 0.06, 0.12, 0.25];
     let result = noise::run(120, &sigmas).expect("noise sweep");
-    println!("Ablation: programming-noise sensitivity (functional FF-mat pipeline)\n");
+    println!("Ablation: programming-noise sensitivity (device runner)\n");
     let header: Vec<String> =
         ["programming sigma", "accuracy", "vs software"].iter().map(|s| s.to_string()).collect();
     let rows: Vec<Vec<String>> = result

@@ -4,7 +4,7 @@
 //! [`HwTarget`]: small NNs are replicated to amortize peripheral latency,
 //! medium NNs are split into mat tiles and merged with adds, and large
 //! NNs are pipelined across banks with inter-bank communication. The
-//! resulting [`NetworkMapping`] drives both the functional executor
+//! resulting [`NetworkMapping`] drives both the device command runner
 //! (`prime-core`) and the performance/energy simulator (`prime-sim`).
 //!
 //! # Examples

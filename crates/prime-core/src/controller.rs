@@ -8,7 +8,7 @@
 //! It also sequences the morphing protocol of §III-A2: migrate data out,
 //! program weights, reconfigure, compute, wrap up.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -20,6 +20,11 @@ use crate::ff_mat::{FfMat, MatScratch};
 
 /// Words per memory row modelled by the controller's Mem-subarray space.
 const MEM_ROW_WORDS: usize = 32;
+
+/// Commands the controller's log keeps: the most recent ones only, so a
+/// long-running bank does not grow with every inference.
+/// [`BankController::commands_issued`] keeps the exact total.
+pub(crate) const COMMAND_LOG_CAPACITY: usize = 256;
 
 /// A snapshot of one mat's memory-mode contents, taken while the mat
 /// computes (the §III-A2 data migration).
@@ -84,8 +89,11 @@ pub struct BankController {
     /// Recycled latch storage: `load` reuses the vector the previous
     /// `compute_mat` consumed, so steady-state staging allocates nothing.
     spare_latch: Vec<i64>,
-    /// Every command executed, in order (for inspection and tests).
-    log: Vec<Command>,
+    /// The most recent commands executed, oldest first, at most
+    /// [`COMMAND_LOG_CAPACITY`] (for inspection and tests).
+    log: VecDeque<Command>,
+    /// Every command executed since construction.
+    issued: u64,
 }
 
 impl BankController {
@@ -110,13 +118,22 @@ impl BankController {
             input_sources: HashMap::new(),
             migrated: HashMap::new(),
             spare_latch: Vec::new(),
-            log: Vec::new(),
+            log: VecDeque::new(),
+            issued: 0,
         }
     }
 
-    /// The command log, in execution order.
-    pub fn log(&self) -> &[Command] {
+    /// The most recent commands executed (at most 256), oldest first.
+    /// Older commands are dropped so the log stays bounded;
+    /// [`commands_issued`](Self::commands_issued) counts them all.
+    pub fn log(&self) -> &VecDeque<Command> {
         &self.log
+    }
+
+    /// Total commands executed since construction. Monotonic, and never
+    /// truncated like [`log`](Self::log).
+    pub fn commands_issued(&self) -> u64 {
+        self.issued
     }
 
     /// Number of FF subarrays this controller manages.
@@ -176,7 +193,11 @@ impl BankController {
     /// Returns [`PrimeError`] variants for invalid addresses, overflowing
     /// transfers, or wrong-mode operations.
     pub fn execute(&mut self, cmd: Command) -> Result<(), PrimeError> {
-        self.log.push(cmd);
+        if self.log.len() == COMMAND_LOG_CAPACITY {
+            self.log.pop_front();
+        }
+        self.log.push_back(cmd);
+        self.issued += 1;
         match cmd {
             Command::SetFunction { mat, function } => {
                 self.mat_mut(mat).set_function(function);
@@ -750,6 +771,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(ctrl.log().len(), 2);
+        assert_eq!(ctrl.commands_issued(), 2);
         assert!(ctrl.log()[0].is_datapath_configure());
     }
 }

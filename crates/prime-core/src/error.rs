@@ -7,7 +7,7 @@ use prime_device::DeviceError;
 use prime_mem::MemError;
 use prime_nn::NnError;
 
-/// Errors raised by FF-subarray, controller, and executor operations.
+/// Errors raised by FF-subarray, controller, and runner operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrimeError {
     /// A device-layer failure.
@@ -39,7 +39,7 @@ pub enum PrimeError {
         /// Bytes available.
         capacity: u64,
     },
-    /// The executor was given a network/mapping pair that disagrees.
+    /// The runner was given a network/mapping pair that disagrees.
     MappingMismatch {
         /// Human-readable reason.
         reason: String,

@@ -11,11 +11,17 @@
 //!   random-access connection unit and mat-to-mat bypass register;
 //! * [`BankController`] — the Table I command interpreter and the
 //!   §III-A2 morphing protocol (migrate -> program -> compute -> wrap up);
-//! * [`FfExecutor`] — whole-network inference through the functional
-//!   hardware pipeline, the fidelity reference for the simulator;
-//! * [`PrimeProgram`] — the Fig. 7 software/hardware interface
-//!   (`Map_Topology`, `Program_Weight`, `Config_Datapath`, `Run`,
-//!   `Post_Proc`).
+//! * [`CommandRunner`] — the execution engine: a network compiled into
+//!   per-layer tiles, SA windows and requantization shifts, then run
+//!   entirely through Table I commands, with ReLU or the column-mux
+//!   sigmoid applied after the partial-sum merge;
+//! * [`PrimeSystem`] — every bank behind one object: verified deployment,
+//!   bank-parallel and pipelined batched inference, programming noise,
+//!   and the OS runtime. With the compiler's `map_network` it is the
+//!   Fig. 7 flow: `Map_Topology` (`map_network`), `Program_Weight` and
+//!   `Config_Datapath` ([`PrimeSystem::deploy`]), `Run`
+//!   ([`PrimeSystem::infer_batch`]), and `Post_Proc` (argmax of the
+//!   outputs).
 //!
 //! # Examples
 //!
@@ -36,11 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod api;
 mod buffer;
 mod controller;
 mod error;
-mod executor;
 mod ff_mat;
 mod insitu;
 mod runner;
@@ -48,11 +52,9 @@ mod search;
 mod service;
 mod system;
 
-pub use api::{CompiledProgram, NnParamFile, PrimeProgram};
 pub use buffer::BufferSubarray;
 pub use controller::{BankController, BankScratch};
 pub use error::PrimeError;
-pub use executor::{ExecutionStats, FfExecutor};
 pub use ff_mat::{FfMat, MatDatapath, MatScratch};
 pub use insitu::{InSituEpoch, InSituMlp};
 pub use runner::{CommandRunner, ConvPhases, InferScratch};

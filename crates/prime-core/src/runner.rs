@@ -1,9 +1,9 @@
-//! Command-driven network execution through the bank controller.
+//! Command-driven network execution through the bank controller — the
+//! one execution engine every functional path runs on.
 //!
-//! [`FfExecutor`](crate::FfExecutor) proves numerical fidelity; this
-//! module proves *protocol* fidelity: a network is compiled into an
-//! integer plan (per-layer quantized weights, SA windows, and buffer
-//! addresses), programmed into a [`BankController`]'s mats, and then
+//! A network is compiled into an integer plan (per-layer quantized
+//! weights, SA windows, and buffer addresses), programmed into a
+//! [`BankController`]'s mats, and then
 //! every inference is driven purely by Table I commands — `load` staging
 //! inputs from the Buffer subarray into mat latches, mat computation,
 //! `store` returning outputs — with row-tile merging on the
@@ -24,10 +24,11 @@
 //!   and mean pooling is the 1/n-weight dot product of the column-mux
 //!   units, `level * sum(codes)` with the quantized reciprocal level.
 //!
-//! The runner supports the activation functions PRIME's output units
-//! implement exactly in the integer domain (ReLU and identity); sigmoid
-//! networks are covered by the analog-calibrated
-//! [`FfExecutor`](crate::FfExecutor) path.
+//! Activations run on PRIME's output units after the row-tile merge, so
+//! split partial sums are never activated separately: the sign-bit ReLU
+//! unit, or the column-mux sigmoid unit (Fig. 4 B), whose
+//! `input_bits`-bit code output feeds the next layer's drivers directly.
+//! Identity layers bypass both.
 //!
 //! Large-scale networks (paper §IV-B) do not fit one bank: the compiler's
 //! [`Mapping::pipeline`](prime_compiler::NetworkMapping) splits them into
@@ -46,7 +47,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use prime_circuits::{mean_pool_weights, ComposingScheme, MaxPoolUnit, PrecisionController};
+use prime_circuits::{
+    mean_pool_weights, ComposingScheme, MaxPoolUnit, PrecisionController, SigmoidUnit,
+};
 use prime_compiler::PipelineStage;
 use prime_device::NoiseModel;
 use prime_mem::{BufAddr, Command, FfAddr, MatAddr, MatFunction};
@@ -222,6 +225,32 @@ enum PlannedOp {
     },
 }
 
+/// The output unit a planned layer routes its merged sums through.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+enum PlannedActivation {
+    /// Both units bypassed.
+    Identity,
+    /// The sign-bit ReLU unit (Fig. 4 C).
+    Relu,
+    /// The column-mux sigmoid unit (§III-A1, Fig. 4 B), scaled so one
+    /// merged unit is the layer's real pre-activation unit. It emits a
+    /// code in `[0, code_max]` directly, so the layer's requantization
+    /// shift is 0.
+    Sigmoid(SigmoidUnit),
+}
+
+impl PlannedActivation {
+    /// Applies the output unit to one merged sum (before requantization).
+    #[inline]
+    fn apply(self, v: i64) -> i64 {
+        match self {
+            PlannedActivation::Identity => v,
+            PlannedActivation::Relu => v.max(0),
+            PlannedActivation::Sigmoid(unit) => unit.apply(v) as i64,
+        }
+    }
+}
+
 /// One planned layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PlannedLayer {
@@ -232,9 +261,9 @@ struct PlannedLayer {
     /// Bias in merged full-precision units.
     bias_units: Vec<i64>,
     /// Right shift taking merged full-precision sums to 6-bit codes for
-    /// the next layer (calibrated).
+    /// the next layer (calibrated; 0 for sigmoid layers).
     requant_shift: u8,
-    relu: bool,
+    activation: PlannedActivation,
     /// Buffer address of this layer's staging region (the full input
     /// vector for FC, one window for conv/pool).
     in_addr: BufAddr,
@@ -297,10 +326,10 @@ pub struct CommandRunner {
 }
 
 impl CommandRunner {
-    /// Compiles `net` (FC/conv/pool, ReLU/identity activations only)
-    /// onto the controller's FF mats: quantizes weights, programs tiles,
-    /// and calibrates every SA window and requantization shift with the
-    /// representative `calibration_input`.
+    /// Compiles `net` (FC/conv/pool layers with identity, ReLU or
+    /// sigmoid activations) onto the controller's FF mats: quantizes
+    /// weights, programs tiles, and calibrates every SA window and
+    /// requantization shift with the representative `calibration_input`.
     ///
     /// The whole network is placed as one stage on this bank; use
     /// [`compile_pipeline`](Self::compile_pipeline) for networks that
@@ -308,42 +337,14 @@ impl CommandRunner {
     ///
     /// # Errors
     ///
-    /// Returns [`PrimeError::MappingMismatch`] for unsupported layers or
-    /// if the controller has too few mats.
+    /// Returns [`PrimeError::MappingMismatch`] for a wrong-sized
+    /// calibration input or if the controller has too few mats.
     pub fn compile(
         net: &Network,
         controller: &mut BankController,
         calibration_input: &[f32],
     ) -> Result<Self, PrimeError> {
         Self::compile_pipeline(net, std::slice::from_mut(controller), &[], calibration_input)
-    }
-
-    /// Deploy-side capability check: one [`Code::P017`] diagnostic per
-    /// layer the command runner cannot execute on the device (currently
-    /// sigmoid activations, whose output units are not integer-exact).
-    /// [`PrimeSystem::deploy`](crate::PrimeSystem) refuses deployment on
-    /// any finding, so no network silently deploys with layers the
-    /// runner cannot run.
-    ///
-    /// [`Code::P017`]: prime_analyze::Code::P017
-    pub fn capability_diagnostics(net: &Network) -> Vec<prime_analyze::Diagnostic> {
-        let mut diags = Vec::new();
-        for (index, layer) in net.layers().iter().enumerate() {
-            let activation = match layer {
-                Layer::Fc(fc) => fc.activation(),
-                Layer::Conv(conv) => conv.activation(),
-                Layer::Pool(_) => continue,
-            };
-            if matches!(activation, Activation::Sigmoid) {
-                diags.push(prime_analyze::Diagnostic::new(
-                    prime_analyze::Code::P017,
-                    prime_analyze::Span::Layer { index, entity: layer.describe() },
-                    "sigmoid is not integer-exact on the output units; the command \
-                     runner executes ReLU/identity only (use FfExecutor)",
-                ));
-            }
-        }
-        diags
     }
 
     /// Resolves a compiler [`PipelineStage`] list into per-stage layer
@@ -399,9 +400,9 @@ impl CommandRunner {
     ///
     /// # Errors
     ///
-    /// Returns [`PrimeError::MappingMismatch`] for unsupported layers, a
-    /// malformed stage list, or a stage needing more FF mats than its
-    /// bank provides.
+    /// Returns [`PrimeError::MappingMismatch`] for a wrong-sized
+    /// calibration input, a malformed stage list, or a stage needing more
+    /// FF mats than its bank provides.
     pub fn compile_pipeline(
         net: &Network,
         banks: &mut [BankController],
@@ -469,7 +470,6 @@ impl CommandRunner {
             for layer in &net.layers()[stage.layers.0..stage.layers.1] {
                 let plan = match layer {
                     Layer::Fc(fc) => {
-                        let relu = Self::integer_activation(fc.activation())?;
                         let (inputs, outputs) = (fc.inputs(), fc.outputs());
                         // Quantize weights to composed 8-bit codes.
                         let w = fc.weights().data();
@@ -508,16 +508,14 @@ impl CommandRunner {
                         )?;
                         let out_max =
                             merged.iter().map(|&v| v.abs()).max().unwrap_or(1).max(1);
-                        let requant_shift = Self::requant_shift(out_max, &scheme);
+                        let (activation, requant_shift, next_scale) =
+                            Self::plan_activation(fc.activation(), unit, out_max, &scheme);
                         // Advance the calibration activations.
                         codes = merged
                             .into_iter()
-                            .map(|v| {
-                                let v = if relu { v.max(0) } else { v };
-                                (v >> requant_shift).clamp(-code_max, code_max)
-                            })
+                            .map(|v| Self::next_code(activation, requant_shift, code_max, v))
                             .collect();
-                        value_scale = unit * f32::from(requant_shift).exp2();
+                        value_scale = next_scale;
                         PlannedLayer {
                             op: PlannedOp::Fc,
                             tiles,
@@ -525,13 +523,12 @@ impl CommandRunner {
                             outputs,
                             bias_units,
                             requant_shift,
-                            relu,
+                            activation,
                             in_addr: BufAddr(0),
                             out_addr: BufAddr(0),
                         }
                     }
                     Layer::Conv(conv) => {
-                        let relu = Self::integer_activation(conv.activation())?;
                         let (in_ch, out_ch) = (conv.in_channels(), conv.out_channels());
                         let (k, padding) = (conv.kernel(), conv.padding());
                         let (oh, ow) = (conv.out_h(), conv.out_w());
@@ -606,18 +603,18 @@ impl CommandRunner {
                                 out_max.max(m.iter().map(|&v| v.abs()).max().unwrap_or(1));
                             merged_all.push(m);
                         }
-                        let requant_shift = Self::requant_shift(out_max, &scheme);
+                        let (activation, requant_shift, next_scale) =
+                            Self::plan_activation(conv.activation(), unit, out_max, &scheme);
                         let mut next = vec![0i64; outputs];
                         for (p, m) in merged_all.iter().enumerate() {
                             let (oy, ox) = (p / ow, p % ow);
                             for (oc, &v) in m.iter().enumerate() {
-                                let v = if relu { v.max(0) } else { v };
                                 next[(oc * oh + oy) * ow + ox] =
-                                    (v >> requant_shift).clamp(-code_max, code_max);
+                                    Self::next_code(activation, requant_shift, code_max, v);
                             }
                         }
                         codes = next;
-                        value_scale = unit * f32::from(requant_shift).exp2();
+                        value_scale = next_scale;
                         PlannedLayer {
                             op,
                             tiles,
@@ -625,7 +622,7 @@ impl CommandRunner {
                             outputs,
                             bias_units,
                             requant_shift,
-                            relu,
+                            activation,
                             in_addr: BufAddr(0),
                             out_addr: BufAddr(0),
                         }
@@ -679,7 +676,12 @@ impl CommandRunner {
                             0
                         };
                         for v in &mut next {
-                            *v = (*v >> requant_shift).clamp(-code_max, code_max);
+                            *v = Self::next_code(
+                                PlannedActivation::Identity,
+                                requant_shift,
+                                code_max,
+                                *v,
+                            );
                         }
                         codes = next;
                         if mean {
@@ -693,7 +695,7 @@ impl CommandRunner {
                             outputs,
                             bias_units: Vec::new(),
                             requant_shift,
-                            relu: false,
+                            activation: PlannedActivation::Identity,
                             in_addr: BufAddr(0),
                             out_addr: BufAddr(0),
                         }
@@ -717,17 +719,40 @@ impl CommandRunner {
         })
     }
 
-    /// Maps an activation onto the integer-exact output units.
-    fn integer_activation(activation: Activation) -> Result<bool, PrimeError> {
-        match activation {
-            Activation::Relu => Ok(true),
-            Activation::Identity => Ok(false),
-            Activation::Sigmoid => Err(PrimeError::MappingMismatch {
-                reason: "command runner covers the integer-exact output units \
-                         (ReLU/identity); use FfExecutor for sigmoid networks"
-                    .to_string(),
-            }),
-        }
+    /// Plans a weight layer's output stage from the peak magnitude
+    /// `out_max` of its calibration merged sums, where `unit` is the real
+    /// value of one merged unit. Returns the output unit, the
+    /// requantization shift, and the real value of one next-layer code.
+    /// ReLU and identity requantize by the calibrated shift; the sigmoid
+    /// unit, built as `SigmoidUnit::new(input_bits, 1 / unit)`, emits
+    /// `round(code_max * sigmoid(real pre-activation))` directly, so its
+    /// codes are worth `1 / code_max` each and need no shift.
+    fn plan_activation(
+        activation: Activation,
+        unit: f32,
+        out_max: i64,
+        scheme: &ComposingScheme,
+    ) -> (PlannedActivation, u8, f32) {
+        let planned = match activation {
+            Activation::Identity => PlannedActivation::Identity,
+            Activation::Relu => PlannedActivation::Relu,
+            Activation::Sigmoid => {
+                let sigmoid = SigmoidUnit::new(scheme.input_bits(), 1.0 / f64::from(unit));
+                let code_value = 1.0 / f32::from(scheme.input_code_max());
+                return (PlannedActivation::Sigmoid(sigmoid), 0, code_value);
+            }
+        };
+        let shift = Self::requant_shift(out_max, scheme);
+        (planned, shift, unit * f32::from(shift).exp2())
+    }
+
+    /// The next-layer code of one merged sum: the output unit, then the
+    /// requantization shift and the scheme clamp. Compile-time
+    /// calibration and inference both go through here, so a layer is
+    /// calibrated on exactly the codes it emits.
+    #[inline]
+    fn next_code(activation: PlannedActivation, requant_shift: u8, code_max: i64, v: i64) -> i64 {
+        (activation.apply(v) >> requant_shift).clamp(-code_max, code_max)
     }
 
     /// Right shift taking merged sums with peak magnitude `out_max` down
@@ -865,14 +890,22 @@ impl CommandRunner {
                 ),
             });
         }
-        for stage in &self.stages {
-            for layer in self.layers.iter().take(stage.layers.1).skip(stage.layers.0) {
-                for tile in &layer.tiles {
-                    *dst[stage.bank].mat_mut(tile.mat) = src[stage.bank].mat(tile.mat).clone();
-                }
-            }
+        for (bank, mat) in self.placements() {
+            *dst[bank].mat_mut(mat) = src[bank].mat(mat).clone();
         }
         Ok(self.clone())
+    }
+
+    /// Every mat the plan programs, as (index into the compile-time bank
+    /// slice, mat address), in stage, layer, then tile order.
+    pub(crate) fn placements(&self) -> impl Iterator<Item = (usize, MatAddr)> + '_ {
+        self.stages.iter().flat_map(move |stage| {
+            self.layers
+                .iter()
+                .take(stage.layers.1)
+                .skip(stage.layers.0)
+                .flat_map(move |layer| layer.tiles.iter().map(move |tile| (stage.bank, tile.mat)))
+        })
     }
 
     /// Buffer address of `stage`'s input staging region and the logical
@@ -972,11 +1005,15 @@ impl CommandRunner {
         self.layers
             .iter()
             .map(|plan| {
-                let relu = if plan.relu { " relu" } else { "" };
+                let act = match plan.activation {
+                    PlannedActivation::Identity => "",
+                    PlannedActivation::Relu => " relu",
+                    PlannedActivation::Sigmoid(_) => " sigmoid",
+                };
                 match plan.op {
-                    PlannedOp::Fc => format!("fc {}-{}{relu}", plan.inputs, plan.outputs),
+                    PlannedOp::Fc => format!("fc {}-{}{act}", plan.inputs, plan.outputs),
                     PlannedOp::Conv { in_ch, out_ch, kernel, out_h, out_w, .. } => {
-                        format!("conv{kernel}x{kernel} {in_ch}-{out_ch}ch {out_h}x{out_w}{relu}")
+                        format!("conv{kernel}x{kernel} {in_ch}-{out_ch}ch {out_h}x{out_w}{act}")
                     }
                     PlannedOp::Pool { mean, channels, window, .. } => {
                         let kind = if mean { "meanpool" } else { "maxpool" };
@@ -1067,7 +1104,10 @@ impl CommandRunner {
                     in_addr: plan.in_addr.0,
                     out_addr: plan.out_addr.0,
                     requant_shift: plan.requant_shift,
-                    relu: plan.relu,
+                    // A sigmoid layer exports as no-ReLU with shift 0: its
+                    // emitted interval [-code_max, code_max] soundly
+                    // over-approximates the unit's [0, code_max] codes.
+                    relu: plan.activation == PlannedActivation::Relu,
                     bias_peak: plan.bias_units.iter().map(|b| b.abs()).max().unwrap_or(0),
                     tiles,
                 }
@@ -1304,11 +1344,11 @@ impl CommandRunner {
         next_codes: &mut [i64],
         final_out: &mut Option<&mut Vec<f32>>,
     ) {
-        let v = if plan.relu { v.max(0) } else { v };
         match final_out {
-            Some(out) => out[idx] = v as f32 * final_unit,
+            Some(out) => out[idx] = plan.activation.apply(v) as f32 * final_unit,
             None => {
-                next_codes[idx] = (v >> plan.requant_shift).clamp(-fwd_code_max, fwd_code_max)
+                next_codes[idx] =
+                    Self::next_code(plan.activation, plan.requant_shift, fwd_code_max, v)
             }
         }
     }
@@ -1339,7 +1379,7 @@ impl CommandRunner {
     /// reused `scratch`, every buffer the forward pass touches — layer
     /// codes, mat latches, driver passes, the merge adder's registers —
     /// reuses its storage, so steady-state inference performs zero heap
-    /// allocation (the command log is the only growth). Bit-identical to
+    /// allocation (the command log is a fixed-capacity ring). Bit-identical to
     /// [`infer`](Self::infer).
     ///
     /// # Errors
@@ -2034,19 +2074,32 @@ mod tests {
         );
     }
 
+    /// Sigmoid conv and FC layers run on the column-mux unit after the
+    /// merge and track the software sigmoid network.
     #[test]
-    fn command_runner_rejects_unsupported_layers() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        let mut net = Network::new(vec![Layer::Fc(FullyConnected::new(
-            8,
-            4,
-            Activation::Sigmoid,
-        ))])
+    fn sigmoid_runner_tracks_software_outputs() {
+        let mut rng = SmallRng::seed_from_u64(27);
+        let mut net = Network::new(vec![
+            Layer::Conv(Conv2d::new(1, 3, 3, 8, 8, 1, Activation::Sigmoid)),
+            Layer::Pool(Pool2d::new(PoolKind::Max, 3, 8, 8, 2)),
+            Layer::Fc(FullyConnected::new(48, 12, Activation::Sigmoid)),
+            Layer::Fc(FullyConnected::new(12, 4, Activation::Identity)),
+        ])
         .expect("widths match");
         net.init_random(&mut rng);
-        let mut controller = BankController::new(1, 4, 1024, 1024);
-        let err = CommandRunner::compile(&net, &mut controller, &[0.5; 8]);
-        assert!(matches!(err, Err(PrimeError::MappingMismatch { .. })));
+        let input = image_input(64, 4);
+        let mut controller = BankController::new(2, 8, 4096, 8192);
+        let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        assert_eq!(
+            runner.layer_labels(),
+            vec!["conv3x3 1-3ch 8x8 sigmoid", "maxpool2x2 3ch", "fc 48-12 sigmoid", "fc 12-4"]
+        );
+        let hw = runner.infer(&mut controller, &input).unwrap();
+        let sw = net.forward(&input).unwrap();
+        let max = sw.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(0.2);
+        for (a, b) in hw.iter().zip(&sw) {
+            assert!((a - b).abs() / max < 0.3, "hw {a} vs sw {b}");
+        }
     }
 
     #[test]
@@ -2094,35 +2147,13 @@ mod tests {
         // not an out-of-bounds index in window gathering.
         let err = CommandRunner::compile(&net, &mut controller, &[0.5; 3]);
         assert!(matches!(err, Err(PrimeError::MappingMismatch { .. })));
-    }
-
-    #[test]
-    fn command_runner_rejects_sigmoid_conv() {
-        let mut rng = SmallRng::seed_from_u64(26);
-        let mut net = Network::new(vec![
-            Layer::Conv(Conv2d::new(1, 2, 3, 6, 6, 1, Activation::Sigmoid)),
-            Layer::Fc(FullyConnected::new(72, 4, Activation::Identity)),
-        ])
-        .expect("widths match");
-        net.init_random(&mut rng);
-        let mut controller = BankController::new(2, 8, 4096, 8192);
-        let err = CommandRunner::compile(&net, &mut controller, &[0.5; 36]);
-        assert!(matches!(err, Err(PrimeError::MappingMismatch { .. })));
-    }
-
-    #[test]
-    fn capability_diagnostics_flag_sigmoid_layers() {
-        let net = Network::new(vec![
-            Layer::Conv(Conv2d::new(1, 2, 3, 6, 6, 1, Activation::Sigmoid)),
-            Layer::Pool(Pool2d::new(PoolKind::Max, 2, 6, 6, 2)),
-            Layer::Fc(FullyConnected::new(18, 4, Activation::Sigmoid)),
-        ])
-        .expect("widths match");
-        let diags = CommandRunner::capability_diagnostics(&net);
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(diags.iter().all(|d| d.code == prime_analyze::Code::P017));
-        let clean = conv_pool_net(&mut SmallRng::seed_from_u64(1));
-        assert!(CommandRunner::capability_diagnostics(&clean).is_empty());
+        // A wrong-sized inference input is the same typed error.
+        let mut runner = CommandRunner::compile(&net, &mut controller, &[0.5; 36]).unwrap();
+        let err = runner.infer(&mut controller, &[0.5; 10]);
+        assert!(
+            matches!(err, Err(PrimeError::MappingMismatch { .. })),
+            "wrong-sized input must error, not panic: {err:?}"
+        );
     }
 
     #[test]
@@ -2148,14 +2179,34 @@ mod tests {
         let input: Vec<f32> = vec![0.4; 20];
         let mut controller = BankController::new(2, 8, 4096, 8192);
         let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
-        let before = controller.log().len();
+        let before = controller.commands_issued();
         runner.infer(&mut controller, &input).unwrap();
-        let issued = controller.log().len() - before;
-        // At least one load per tile per layer.
-        assert!(
-            issued >= runner.mats_used(),
-            "only {issued} commands issued"
-        );
+        // One `load` per FC tile: the tile count is the command stream.
+        assert_eq!(controller.commands_issued() - before, runner.mats_used() as u64);
+        assert!(controller
+            .log()
+            .iter()
+            .rev()
+            .take(runner.mats_used())
+            .all(|c| matches!(c, Command::Load { .. })));
+    }
+
+    /// A long-running bank keeps only its most recent commands, while the
+    /// issued total stays exact.
+    #[test]
+    fn command_log_stays_bounded_over_many_inferences() {
+        let mut rng = SmallRng::seed_from_u64(28);
+        let net = relu_net(&mut rng);
+        let input: Vec<f32> = vec![0.4; 20];
+        let mut controller = BankController::new(2, 8, 4096, 8192);
+        let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        let before = controller.commands_issued();
+        let (mut scratch, mut out) = (InferScratch::new(), Vec::new());
+        for _ in 0..10_000 {
+            runner.infer_into(&mut controller, &input, &mut scratch, &mut out).unwrap();
+        }
+        assert!(controller.log().len() <= crate::controller::COMMAND_LOG_CAPACITY);
+        assert_eq!(controller.commands_issued() - before, 10_000 * runner.mats_used() as u64);
     }
 
     fn argmax(v: &[f32]) -> usize {

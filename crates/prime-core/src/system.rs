@@ -248,8 +248,8 @@ impl PrimeSystem {
     /// Returns [`PrimeError::Rejected`] carrying the verifier diagnostics
     /// if the mapping breaks a deployment invariant (the network does not
     /// fit the memory's FF mats, a pipeline stage is illegal, the
-    /// precision budgets overflow, ...), or another [`PrimeError`] for
-    /// unsupported layers.
+    /// precision budgets overflow, ...), or another [`PrimeError`] if the
+    /// network cannot be compiled onto the banks.
     pub fn deploy(&mut self, net: &Network, calibration: &[f32]) -> Result<(), PrimeError> {
         let options = CompileOptions { replicate: false, ..CompileOptions::default() };
         self.deploy_compiled(net, calibration, options, None)
@@ -281,12 +281,6 @@ impl PrimeSystem {
     ) -> Result<(), PrimeError> {
         if objective == Objective::Fixed {
             return self.deploy(net, calibration);
-        }
-        // Capability check first, as in the fixed path: a network the
-        // runner cannot execute must fail identically under search.
-        let diagnostics = CommandRunner::capability_diagnostics(net);
-        if !diagnostics.is_empty() {
-            return Err(PrimeError::Rejected { diagnostics });
         }
         let spec = net.to_spec("deployed").map_err(PrimeError::Nn)?;
         let target = self.analysis_target();
@@ -334,13 +328,6 @@ impl PrimeSystem {
         search: Option<MappingSearch>,
     ) -> Result<(), PrimeError> {
         let started = Instant::now();
-        // Runner capability check first (P017): a layer the command
-        // runner cannot execute must reject deployment up front, never
-        // silently deploy and fail at inference time.
-        let diagnostics = CommandRunner::capability_diagnostics(net);
-        if !diagnostics.is_empty() {
-            return Err(PrimeError::Rejected { diagnostics });
-        }
         let spec = net.to_spec("deployed").map_err(PrimeError::Nn)?;
         let target = self.analysis_target();
         let mapping = map_network(&spec, &target.hw, options)
@@ -537,6 +524,47 @@ impl PrimeSystem {
         seed: u64,
     ) -> Result<Vec<Vec<f32>>, PrimeError> {
         self.infer_batch_impl(inputs, Some((noise, seed)))
+    }
+
+    /// Perturbs the programmed conductances of every placed tile with
+    /// `noise`'s programming error (the feedback-tuning precision of real
+    /// devices, paper §III-D), drawing from one RNG seeded `seed`. Tiles
+    /// are visited bank by bank and, within a bank, in (subarray, mat)
+    /// order, so a seed reproduces the same perturbation. Aliased
+    /// placements copy on write first: every placement gets its own
+    /// perturbation, as separate physical crossbars would.
+    ///
+    /// Only the analog path ([`infer_batch_noisy`](Self::infer_batch_noisy))
+    /// sees programming noise; the digital path reads the nominal levels.
+    /// Every call perturbs from the nominal levels, so calls do not
+    /// accumulate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PrimeError::MappingMismatch`] before any deployment.
+    pub fn apply_program_noise(&mut self, noise: &NoiseModel, seed: u64) -> Result<(), PrimeError> {
+        if self.runners.is_empty() {
+            return Err(PrimeError::MappingMismatch {
+                reason: "no network deployed".to_string(),
+            });
+        }
+        let bpc = self.banks_per_copy;
+        let mut placed: Vec<(usize, usize, usize)> = self
+            .runners
+            .iter()
+            .enumerate()
+            .flat_map(|(c, runner)| {
+                runner.placements().map(move |(b, mat)| (c * bpc + b, mat.subarray, mat.mat))
+            })
+            .collect();
+        placed.sort_unstable();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for (bank, subarray, mat) in placed {
+            self.banks[bank]
+                .mat_mut(MatAddr { subarray, mat })
+                .apply_program_noise(noise, &mut rng);
+        }
+        Ok(())
     }
 
     fn infer_batch_impl(
@@ -1048,6 +1076,37 @@ mod tests {
         assert_eq!(s.resident_bytes * s.copies, s.dense_bytes);
         assert_eq!(system.resident_state_bytes(), s.resident_bytes);
         assert_eq!(one.aliased_placements, 0);
+    }
+
+    #[test]
+    fn program_noise_is_seeded_and_per_placement() {
+        let mut rng = SmallRng::seed_from_u64(307);
+        let net = relu_net(&mut rng);
+        let inputs: Vec<Vec<f32>> = (0..6)
+            .map(|i| (0..12).map(|j| ((i * 5 + j) % 9) as f32 / 9.0).collect())
+            .collect();
+        let noise = NoiseModel { program_sigma: 0.1, read_sigma: 0.0 };
+        let deployed = || {
+            let mut system = PrimeSystem::new(4, 2, 4, 2048);
+            system.deploy(&net, &[0.5; 12]).unwrap();
+            system
+        };
+        let run = |seed: u64| {
+            let mut system = deployed();
+            system.apply_program_noise(&noise, seed).unwrap();
+            system.infer_batch_noisy(&inputs, &noise, 0).unwrap()
+        };
+        assert_eq!(run(1), run(1), "the same seed must reproduce bit for bit");
+        assert_ne!(run(1), run(2), "different seeds must perturb differently");
+        // Copy-on-write: each of the 4 copies now owns its perturbed
+        // tiles instead of aliasing copy 0's.
+        let mut system = deployed();
+        system.apply_program_noise(&noise, 1).unwrap();
+        let mut single = PrimeSystem::new(1, 2, 4, 2048);
+        single.deploy(&net, &[0.5; 12]).unwrap();
+        single.apply_program_noise(&noise, 1).unwrap();
+        assert_eq!(system.resident_state_bytes(), 4 * single.resident_state_bytes());
+        assert!(PrimeSystem::new(1, 1, 1, 512).apply_program_noise(&noise, 1).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use prime_circuits::{part_sums, ComposingScheme};
-use prime_core::{FfExecutor, FfMat};
+use prime_core::{BankController, CommandRunner, FfMat};
 use prime_mem::MatFunction;
 use prime_nn::{Activation, FullyConnected, Layer, Network, Tensor};
 
@@ -25,18 +25,19 @@ fn small_net_case() -> impl Strategy<Value = (Vec<f32>, Vec<f32>, Vec<f32>, usiz
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One FC layer through the full FF-mat pipeline tracks software
-    /// within the composing scheme's quantization budget.
+    /// One FC layer through the command runner tracks software within
+    /// the composing scheme's quantization budget.
     #[test]
-    fn executor_tracks_software_for_random_fc_layers(
+    fn runner_tracks_software_for_random_fc_layers(
         (weights, bias, input, inputs, outputs) in small_net_case()
     ) {
         let w = Tensor::from_vec(vec![outputs, inputs], weights).unwrap();
         let fc = FullyConnected::from_params(w, bias, Activation::Identity).unwrap();
         let net = Network::new(vec![Layer::Fc(fc.clone())]).unwrap();
         let sw = fc.forward(&input).unwrap();
-        let mut exec = FfExecutor::new();
-        let (hw, _) = exec.run(&net, &input).unwrap();
+        let mut controller = BankController::new(1, 1, 1024, 1024);
+        let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        let hw = runner.infer(&mut controller, &input).unwrap();
         // Tolerance: the 6-bit output window of the calibrated SA plus
         // input/weight quantization, relative to the output range.
         let range = sw.iter().fold(0.1f32, |m, &v| m.max(v.abs()));

@@ -255,10 +255,9 @@ impl NetworkSpec {
         Network::new(layers)
     }
 
-    /// Builds a full-weight network the device command runner can
-    /// execute: ReLU on every hidden weight layer (the runner's
-    /// integer-exact activation — and the activation modern CNN stacks
-    /// such as VGG actually use), identity on the last, weights
+    /// Builds a full-weight ReLU network for the device command runner:
+    /// ReLU on every hidden weight layer (the activation modern CNN
+    /// stacks such as VGG actually use), identity on the last, weights
     /// initialized from `seed`. This is how the full-size VGG-D spec
     /// becomes a deployable network — ~1.4x10^8 synapses are allocated,
     /// so reserve it for benchmarks, not unit tests.

@@ -540,12 +540,12 @@ pub mod batch_sweep {
     }
 }
 
-/// Device-noise sensitivity of the functional FF-mat pipeline: how
+/// Device-noise sensitivity of the device runner: how
 /// classification accuracy degrades as the cell-programming precision
 /// worsens (paper §III-D: ~1 % single-cell, ~3 % in-crossbar tuning).
 pub mod noise {
     use super::*;
-    use prime_core::FfExecutor;
+    use prime_core::PrimeSystem;
     use prime_device::NoiseModel;
     use prime_nn::{
         evaluate, train_sgd, Activation, DigitGenerator, FullyConnected, Layer, Network,
@@ -572,14 +572,16 @@ pub mod noise {
         pub rows: Vec<NoiseRow>,
     }
 
-    /// Trains a digit classifier and evaluates it on the functional
-    /// FF-mat pipeline at each programming-noise level.
+    /// Trains a digit classifier and deploys it on one bank of a
+    /// [`PrimeSystem`]; at each programming-noise level, perturbs every
+    /// placed tile from one fixed seed and classifies the test set
+    /// through the analog path with read noise off.
     ///
     /// # Errors
     ///
     /// Propagates [`prime_core::PrimeError`] from training, evaluation,
-    /// or the hardware pipeline — only possible if the generated
-    /// classifier or the executor itself is broken.
+    /// or the device runner — only possible if the generated classifier
+    /// or the runner itself is broken.
     pub fn run(
         test_samples: usize,
         sigmas: &[f64],
@@ -598,13 +600,17 @@ pub mod noise {
             .map_err(prime_core::PrimeError::from)?;
         let software_accuracy =
             evaluate(&net, &test_set).map_err(prime_core::PrimeError::from)?;
+        let calibration = train_set.first().map(|s| s.pixels.as_slice()).unwrap_or_default();
+        let mut system = PrimeSystem::new(1, 2, 8, 4096);
+        system.deploy(&net, calibration)?;
+        let inputs: Vec<Vec<f32>> = test_set.iter().map(|s| s.pixels.clone()).collect();
         let mut rows = Vec::with_capacity(sigmas.len());
         for &sigma in sigmas {
             let model = NoiseModel { program_sigma: sigma, read_sigma: 0.0 };
-            let mut exec = FfExecutor::with_noise(model, 77);
+            system.apply_program_noise(&model, 77)?;
+            let outputs = system.infer_batch_noisy(&inputs, &model, 77)?;
             let mut correct = 0usize;
-            for sample in &test_set {
-                let (out, _) = exec.run(&net, &sample.pixels)?;
+            for (out, sample) in outputs.iter().zip(&test_set) {
                 let mut best = 0;
                 for (i, &v) in out.iter().enumerate() {
                     if v > out[best] {

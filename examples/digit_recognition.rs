@@ -1,10 +1,10 @@
 //! Handwritten-digit recognition end to end: offline training, the
-//! Fig. 6-style precision check, and inference through the functional
-//! FF-mat pipeline — software vs PRIME hardware accuracy side by side.
+//! Fig. 6-style precision check, and inference on the device runner —
+//! software vs PRIME hardware accuracy side by side.
 //!
 //! Run with: `cargo run --release --example digit_recognition`
 
-use prime::core::FfExecutor;
+use prime::core::PrimeSystem;
 use prime::nn::{
     evaluate, evaluate_quantized, train_sgd, Activation, DigitGenerator, FullyConnected, Layer,
     Network, TrainConfig, IMAGE_PIXELS, NUM_CLASSES,
@@ -47,15 +47,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Run a slice of the test set through the functional FF-mat pipeline:
-    // real crossbars, composing scheme, truncating SAs.
-    let mut executor = FfExecutor::new();
+    // Deploy on the device runner (real crossbars, composing scheme,
+    // truncating SAs, the column-mux sigmoid), calibrated on one training
+    // image, and classify a slice of the test set.
+    let mut system = PrimeSystem::new(4, 2, 8, 4096);
+    system.deploy(&net, &train_set[0].pixels)?;
     let hw_subset = &test_set[..60];
+    let inputs: Vec<Vec<f32>> = hw_subset.iter().map(|s| s.pixels.clone()).collect();
+    let hw_outputs = system.infer_batch(&inputs)?;
     let mut hw_correct = 0;
     let mut sw_correct = 0;
-    for sample in hw_subset {
-        let (hw_out, _) = executor.run(&net, &sample.pixels)?;
-        if argmax(&hw_out) == sample.label {
+    for (sample, hw_out) in hw_subset.iter().zip(&hw_outputs) {
+        if argmax(hw_out) == sample.label {
             hw_correct += 1;
         }
         if argmax(&net.forward(&sample.pixels)?) == sample.label {
@@ -69,11 +72,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sw_correct,
         hw_subset.len()
     );
-    println!(
-        "hardware work: {} mat passes over {} programmed mats",
-        executor.stats().mat_passes,
-        executor.stats().mats_programmed
-    );
+    if let Some(stats) = system.deploy_stats() {
+        println!(
+            "hardware: {} copies over {} unique tiles, deployed in {:.1} ms",
+            stats.copies, stats.unique_tiles, stats.wall_ms
+        );
+    }
     Ok(())
 }
 

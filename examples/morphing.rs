@@ -49,7 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let restored = ctrl.mat(mat).read_memory_row(17, 256)?;
     assert_eq!(restored, user_data, "morphing must not lose data");
     println!("wrap-up: memory mode restored, user data intact");
-    println!("\ncommand log ({} commands):", ctrl.log().len());
+    println!(
+        "\ncommand log ({} issued, {} most recent kept):",
+        ctrl.commands_issued(),
+        ctrl.log().len()
+    );
     for cmd in ctrl.log() {
         println!("  {cmd}");
     }

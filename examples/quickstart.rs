@@ -1,9 +1,10 @@
 //! Quickstart: one FF mat computing a signed matrix-vector product in
-//! memory, then the full PRIME programming flow on an MLP.
+//! memory, then the paper's Fig. 7 programming flow on an MLP.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use prime::core::{FfMat, NnParamFile, PrimeProgram};
+use prime::compiler::{map_network, CompileOptions, HwTarget};
+use prime::core::{FfMat, PrimeSystem};
 use prime::mem::MatFunction;
 use prime::nn::MlBench;
 use rand::rngs::SmallRng;
@@ -26,15 +27,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outputs = mat.compute(&[63, 10, 32])?;
     println!("FF mat outputs (composed, truncated): {outputs:?}");
 
-    // --- 2. The Fig. 7 software/hardware interface ------------------------
+    // --- 2. The Fig. 7 software/hardware flow ------------------------------
     let spec = MlBench::MlpS.spec();
     let mut network = spec.to_network()?;
     let mut rng = SmallRng::seed_from_u64(42);
     network.init_random(&mut rng); // stands in for offline training
-    let params = NnParamFile { spec, network };
 
-    let mut program = PrimeProgram::new();
-    let mapping = program.map_topology(&params)?; // Map_Topology(..)
+    // Map_Topology: the compile-time NN-to-crossbar mapping (§IV-B).
+    let mapping = map_network(&spec, &HwTarget::prime_default(), CompileOptions::default())?;
     println!(
         "mapped {}: {:?} scale, {} mats, {} bank(s) per copy, {} copies across memory",
         mapping.name,
@@ -43,25 +43,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mapping.banks_per_copy,
         mapping.copies_across_memory
     );
-    program.program_weight(&params)?; // Program_Weight(..)
-    let compiled = program.config_datapath()?; // Config_Datapath(..)
-    println!(
-        "datapath configuration: {} commands; per-inference data flow: {} commands",
-        compiled.datapath_commands.len(),
-        compiled.dataflow_commands.len()
-    );
-    println!("first commands: {}", compiled.datapath_commands[0]);
-    println!("               {}", compiled.dataflow_commands[0]);
 
+    // Program_Weight + Config_Datapath: quantize and program copy 0,
+    // calibrate its SA windows, verify the lowered command program, and
+    // alias the copy onto every other bank.
     let input = vec![0.5f32; 784];
-    let output = program.run(&input)?; // Run(input_data)
-    let class = PrimeProgram::post_proc(&output); // Post_Proc()
+    let mut system = PrimeSystem::new(4, 2, 16, 4096);
+    system.deploy(&network, &input)?;
+    if let Some(stats) = system.deploy_stats() {
+        println!(
+            "deployed {} copies ({} unique tiles) in {:.1} ms",
+            stats.copies, stats.unique_tiles, stats.wall_ms
+        );
+    }
+
+    // Run: one batch through the Table I command stream, one input per bank.
+    let outputs = system.infer_batch(&vec![input; 4])?;
+
+    // Post_Proc: classification argmax.
+    let output = &outputs[0];
+    let class = (0..output.len()).fold(0, |best, i| if output[i] > output[best] { i } else { best });
     println!("inference produced {} outputs; argmax class {class}", output.len());
-    println!(
-        "work: {} mat passes, {} merge adds, {} buffer words",
-        program.stats().mat_passes,
-        program.stats().merge_adds,
-        program.stats().buffer_words
-    );
+    println!("{} inferences served", system.stats().inferences);
     Ok(())
 }

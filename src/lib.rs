@@ -17,29 +17,34 @@
 //! | [`mem`] | `prime-mem` | memory geometry, timing, Table I commands, OS runtime |
 //! | [`nn`] | `prime-nn` | tensors, dynamic fixed point, layers, training, MlBench workloads |
 //! | [`compiler`] | `prime-compiler` | NN-to-crossbar mapping (replication / split-merge / inter-bank) |
-//! | [`core`] | `prime-core` | FF mats, Buffer subarrays, the PRIME controller, the Fig. 7 API |
+//! | [`core`] | `prime-core` | FF mats, Buffer subarrays, the PRIME controller, the command runner, `PrimeSystem` |
 //! | [`serve`] | `prime-serve` | TCP inference serving: wire protocol, batch collector, admission control, load bencher |
 //! | [`sim`] | `prime-sim` | machine models and the figure-regeneration experiments |
 //!
 //! # Examples
 //!
-//! The five-call software/hardware interface of the paper's Fig. 7:
+//! The stages of the paper's Fig. 7 software/hardware interface, as
+//! direct calls:
 //!
 //! ```no_run
-//! use prime::core::{NnParamFile, PrimeProgram};
+//! use prime::compiler::{map_network, CompileOptions, HwTarget};
+//! use prime::core::PrimeSystem;
 //! use prime::nn::MlBench;
 //!
 //! let spec = MlBench::MlpS.spec();
 //! let network = spec.to_network()?; // weights would come from offline training
-//! let params = NnParamFile { spec, network };
 //!
-//! let mut program = PrimeProgram::new();
-//! program.map_topology(&params)?;
-//! program.program_weight(&params)?;
-//! let compiled = program.config_datapath()?;
-//! let output = program.run(&vec![0.5; 784])?;
-//! let class = PrimeProgram::post_proc(&output);
-//! println!("{} commands, class {class}", compiled.dataflow_commands.len());
+//! // Map_Topology: the compile-time NN-to-crossbar mapping.
+//! let mapping = map_network(&spec, &HwTarget::prime_default(), CompileOptions::default())?;
+//! // Program_Weight + Config_Datapath: program, calibrate and verify.
+//! let mut system = PrimeSystem::new(4, 2, 16, 4096);
+//! system.deploy(&network, &vec![0.5; 784])?;
+//! // Run: inference through the Table I command stream.
+//! let outputs = system.infer_batch(&[vec![0.5; 784]])?;
+//! // Post_Proc: classification argmax.
+//! let out = &outputs[0];
+//! let class = (0..out.len()).fold(0, |best, i| if out[i] > out[best] { i } else { best });
+//! println!("{} mats per copy, class {class}", mapping.base_mats);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -1,17 +1,20 @@
 //! End-to-end fidelity: a digit classifier trained offline keeps its
-//! accuracy when executed on the functional FF-mat hardware pipeline —
-//! crossbars, composing scheme, truncating SAs and all.
+//! accuracy when executed on the device runner — crossbars, composing
+//! scheme, truncating SAs, the column-mux sigmoid and all.
 
-use prime::core::{BankController, CommandRunner, FfExecutor, NnParamFile, PrimeProgram};
+use prime::compiler::{map_network, CompileOptions, HwTarget};
+use prime::core::{BankController, CommandRunner, PrimeSystem};
 use prime::nn::{
     evaluate, train_sgd, Activation, DigitGenerator, FullyConnected, Layer, LayerSpec, Network,
-    NetworkSpec, TrainConfig, IMAGE_PIXELS, NUM_CLASSES,
+    NetworkSpec, Sample, TrainConfig, IMAGE_PIXELS, NUM_CLASSES,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn trained_classifier(rng: &mut SmallRng) -> (Network, Vec<prime::nn::Sample>) {
+/// A sigmoid digit classifier trained offline, one training image to
+/// calibrate its deployment with, and a held-out test set.
+fn trained_classifier(rng: &mut SmallRng) -> (Network, Vec<f32>, Vec<Sample>) {
     let generator = DigitGenerator::default();
     let train_set = generator.dataset(600, rng);
     let test_set = generator.dataset(120, rng);
@@ -22,7 +25,7 @@ fn trained_classifier(rng: &mut SmallRng) -> (Network, Vec<prime::nn::Sample>) {
     .expect("widths match");
     net.init_random(rng);
     train_sgd(&mut net, &train_set, TrainConfig::quick(), rng).expect("training succeeds");
-    (net, test_set)
+    (net, train_set[0].pixels.clone(), test_set)
 }
 
 fn argmax(v: &[f32]) -> usize {
@@ -35,22 +38,24 @@ fn argmax(v: &[f32]) -> usize {
     best
 }
 
+/// Deploys `net` on a two-bank system and classifies `samples` on it.
+fn device_outputs(net: &Network, calibration: &[f32], samples: &[Sample]) -> Vec<Vec<f32>> {
+    let mut system = PrimeSystem::new(2, 2, 8, 4096);
+    system.deploy(net, calibration).expect("the sigmoid classifier deploys");
+    let inputs: Vec<Vec<f32>> = samples.iter().map(|s| s.pixels.clone()).collect();
+    system.infer_batch(&inputs).expect("hardware execution")
+}
+
 #[test]
 fn ff_hardware_matches_software_accuracy() {
     let mut rng = SmallRng::seed_from_u64(404);
-    let (net, test_set) = trained_classifier(&mut rng);
+    let (net, calibration, test_set) = trained_classifier(&mut rng);
     let sw_acc = evaluate(&net, &test_set).expect("software evaluation");
     assert!(sw_acc > 0.9, "software accuracy too low: {sw_acc}");
 
-    let mut executor = FfExecutor::new();
     let subset = &test_set[..40];
-    let mut correct = 0usize;
-    for sample in subset {
-        let (out, _) = executor.run(&net, &sample.pixels).expect("hardware execution");
-        if argmax(&out) == sample.label {
-            correct += 1;
-        }
-    }
+    let outputs = device_outputs(&net, &calibration, subset);
+    let correct = subset.iter().zip(&outputs).filter(|(s, out)| argmax(out) == s.label).count();
     let hw_acc = correct as f64 / subset.len() as f64;
     assert!(
         hw_acc >= sw_acc - 0.1,
@@ -60,8 +65,11 @@ fn ff_hardware_matches_software_accuracy() {
 
 #[test]
 fn prime_program_classifies_through_the_full_api() {
+    // The Fig. 7 flow as direct calls: `map_network` (Map_Topology),
+    // `PrimeSystem::deploy` (Program_Weight + Config_Datapath),
+    // `infer_batch` (Run), argmax (Post_Proc).
     let mut rng = SmallRng::seed_from_u64(505);
-    let (net, test_set) = trained_classifier(&mut rng);
+    let (net, calibration, test_set) = trained_classifier(&mut rng);
     let spec = NetworkSpec::new(
         "digit-mlp",
         vec![
@@ -70,20 +78,17 @@ fn prime_program_classifies_through_the_full_api() {
         ],
     )
     .expect("valid topology");
-    let params = NnParamFile { spec, network: net.clone() };
-    let mut program = PrimeProgram::new();
-    program.map_topology(&params).expect("mapping fits");
-    program.program_weight(&params).expect("weights match topology");
-    let compiled = program.config_datapath().expect("datapath configuration");
-    assert!(!compiled.datapath_commands.is_empty());
-    assert!(!compiled.dataflow_commands.is_empty());
+    assert_eq!(net.to_spec("digit-mlp").expect("spec derivable"), spec);
+    let mapping = map_network(&spec, &HwTarget::prime_default(), CompileOptions::default())
+        .expect("mapping fits");
+    assert_eq!(mapping.layers.len(), 2);
 
-    let mut agree = 0usize;
     let subset = &test_set[..20];
-    for sample in subset {
-        let hw_class = PrimeProgram::post_proc(&program.run(&sample.pixels).expect("run"));
+    let outputs = device_outputs(&net, &calibration, subset);
+    let mut agree = 0usize;
+    for (sample, out) in subset.iter().zip(&outputs) {
         let sw_class = argmax(&net.forward(&sample.pixels).expect("software forward"));
-        if hw_class == sw_class {
+        if argmax(out) == sw_class {
             agree += 1;
         }
     }
@@ -138,7 +143,7 @@ proptest! {
 #[test]
 fn cnn_executes_on_ff_mats() {
     // A small conv-pool-fc network (CNN-1 shaped, scaled down) runs
-    // through the hardware pipeline and tracks the software output.
+    // through the device runner and tracks the software output.
     let mut rng = SmallRng::seed_from_u64(606);
     let mut net = Network::new(vec![
         Layer::Conv(prime::nn::Conv2d::new(1, 3, 5, 12, 12, 0, Activation::Relu)),
@@ -149,13 +154,13 @@ fn cnn_executes_on_ff_mats() {
     net.init_random(&mut rng);
     let input: Vec<f32> = (0..144).map(|i| ((i * 13 % 29) as f32) / 29.0).collect();
     let sw = net.forward(&input).expect("software forward");
-    let mut executor = FfExecutor::new();
-    let (hw, stats) = executor.run(&net, &input).expect("hardware run");
-    assert_eq!(hw.len(), 10);
-    assert!(stats.pool_steps > 0, "max pooling must use the pooling hardware");
+    let mut system = PrimeSystem::new(1, 2, 4, 2048);
+    system.deploy(&net, &input).expect("the CNN deploys");
+    let hw = system.infer_batch(std::slice::from_ref(&input)).expect("hardware run");
+    assert_eq!(hw[0].len(), 10);
     // Outputs track software within the composing scheme's error budget.
     let sw_max = sw.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(0.1);
-    for (a, b) in hw.iter().zip(&sw) {
+    for (a, b) in hw[0].iter().zip(&sw) {
         assert!((a - b).abs() / sw_max < 0.35, "hw {a} vs sw {b}");
     }
 }

@@ -297,27 +297,53 @@ fn cnn_pipelined_noisy_overlap_matches_serial() {
     assert_eq!(serial, overlapped, "noisy CNN pipeline diverged");
 }
 
-/// Sigmoid layers are not executable by the command runner: deployment
-/// must be refused with a typed rejection carrying P017, never silently
-/// accepted.
-#[test]
-fn sigmoid_network_is_rejected_with_p017() {
+/// A sigmoid conv + FC stack: the column-mux sigmoid unit runs after the
+/// merge of every weight layer but the identity head.
+fn sigmoid_net(seed: u64) -> Network {
     let mut net = Network::new(vec![
-        Layer::Conv(Conv2d::new(1, 2, 3, 6, 6, 1, Activation::Sigmoid)),
-        Layer::Fc(FullyConnected::new(72, 4, Activation::Identity)),
+        Layer::Conv(Conv2d::new(1, 3, 3, 8, 8, 1, Activation::Sigmoid)),
+        Layer::Pool(Pool2d::new(PoolKind::Max, 3, 8, 8, 2)),
+        Layer::Fc(FullyConnected::new(48, 8, Activation::Sigmoid)),
+        Layer::Fc(FullyConnected::new(8, 4, Activation::Identity)),
     ])
     .expect("widths match");
-    net.init_random(&mut SmallRng::seed_from_u64(3));
-    let mut system = PrimeSystem::new(2, 2, 4, 2048);
-    let err = system.deploy(&net, &[0.5; 36]);
-    match err {
-        Err(prime::core::PrimeError::Rejected { diagnostics }) => {
-            assert!(
-                diagnostics.iter().any(|d| d.code == prime::analyze::Code::P017),
-                "expected a P017 diagnostic, got {diagnostics:?}"
-            );
+    net.init_random(&mut SmallRng::seed_from_u64(seed));
+    net
+}
+
+/// Sigmoid networks deploy, and stay bit-identical across the serial,
+/// bank-parallel and stage-overlapped engines: digital outputs equal a
+/// one-bank deploy, and seeded read noise reproduces across engines.
+#[test]
+fn sigmoid_stack_is_bit_identical_across_engines() {
+    let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
+    let net = sigmoid_net(3);
+    let inputs = cnn_batch(7);
+    let mut flat = PrimeSystem::new(1, 2, 4, 2048);
+    flat.deploy(&net, &cnn_calibration()).expect("sigmoid stack deploys");
+    flat.set_parallel(false);
+    let reference = flat.infer_batch(&inputs).unwrap();
+    // Three bank-parallel copies, then one copy pipelined over 1-mat banks.
+    for (banks, ff_subarrays, mats) in [(3, 2, 4), (4, 1, 1)] {
+        let mut system = PrimeSystem::new(banks, ff_subarrays, mats, 2048);
+        system.deploy(&net, &cnn_calibration()).expect("sigmoid stack deploys");
+        if mats == 1 {
+            assert!(system.deployed_stages().unwrap() >= 2, "expected a pipeline");
         }
-        other => panic!("expected Rejected, got {other:?}"),
+        system.set_parallel(false);
+        let serial = system.infer_batch(&inputs).unwrap();
+        let serial_noisy = system.infer_batch_noisy(&inputs, &noise, 0xBEEF).unwrap();
+        system.set_parallel(true);
+        let parallel = system.infer_batch(&inputs).unwrap();
+        let parallel_noisy = system.infer_batch_noisy(&inputs, &noise, 0xBEEF).unwrap();
+        assert_eq!(serial, reference, "serial sigmoid outputs diverged at banks={banks}");
+        assert_eq!(parallel, reference, "parallel sigmoid outputs diverged at banks={banks}");
+        assert_eq!(serial_noisy, parallel_noisy, "noisy sigmoid outputs diverged at banks={banks}");
+        assert_eq!(
+            parallel_noisy,
+            system.infer_batch_noisy(&inputs, &noise, 0xBEEF).unwrap(),
+            "noisy sigmoid batch not reproducible at banks={banks}"
+        );
     }
 }
 

@@ -182,6 +182,25 @@ fn broken_stage_chain_is_rejected_with_p030() {
     assert!(codes.contains(&Code::P030), "expected P030, got {codes:?}");
 }
 
+/// Table III's MLP-S and CNN-1 as `to_network` builds them, with sigmoid
+/// hidden FC layers, deploy on the device runner. Deploy runs Pass 1 and
+/// Pass 3 on the real compiled plan and refuses on any Error-level
+/// finding, so acceptance is the check.
+#[test]
+fn sigmoid_workloads_deploy_and_run() {
+    for bench in [MlBench::MlpS, MlBench::Cnn1] {
+        let mut net = bench.spec().to_network().expect("executable workload");
+        net.init_random(&mut SmallRng::seed_from_u64(5));
+        let calibration = vec![0.5f32; net.inputs()];
+        let mut system = PrimeSystem::new(1, 2, 16, 4096);
+        if let Err(e) = system.deploy(&net, &calibration) {
+            panic!("{} must deploy cleanly: {e}", bench.name());
+        }
+        let out = system.infer_batch(&[calibration]).expect("runs");
+        assert_eq!(out[0].len(), net.outputs(), "{}", bench.name());
+    }
+}
+
 /// A small conv/pool/fc network exercising both planned-op families.
 fn cnn_net(seed: u64) -> Network {
     let mut rng = SmallRng::seed_from_u64(seed);

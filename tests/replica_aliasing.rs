@@ -19,11 +19,11 @@ use rand::SeedableRng;
 /// Copies the 4-bank system holds (one per bank).
 const COPIES: usize = 4;
 
-/// Every layer kind the device runner executes: padded conv, max and
-/// mean pooling, ReLU FC hidden layer, identity head.
-fn cnn_net(seed: u64) -> Network {
+/// Every layer kind the device runner executes: padded conv (ReLU or
+/// sigmoid), max and mean pooling, identity FC head.
+fn cnn_net(seed: u64, activation: Activation) -> Network {
     let mut net = Network::new(vec![
-        Layer::Conv(Conv2d::new(1, 3, 3, 8, 8, 1, Activation::Relu)),
+        Layer::Conv(Conv2d::new(1, 3, 3, 8, 8, 1, activation)),
         Layer::Pool(Pool2d::new(PoolKind::Max, 3, 8, 8, 2)),
         Layer::Pool(Pool2d::new(PoolKind::Mean, 3, 4, 4, 2)),
         Layer::Fc(FullyConnected::new(12, 4, Activation::Identity)),
@@ -81,37 +81,44 @@ fn single_bank_noisy(
 
 #[test]
 fn aliased_copies_match_one_bank_on_conv_nets() {
-    let net = cnn_net(41);
-    let (mut aliased, mut single) = deploy_both(&net, 64);
-    let inputs = cnn_batch(7);
-    let expected = single.infer_batch(&inputs).unwrap();
-    for parallel in [false, true] {
-        aliased.set_parallel(parallel);
-        assert_eq!(
-            aliased.infer_batch(&inputs).unwrap(),
-            expected,
-            "digital outputs diverged (parallel={parallel})"
-        );
+    for activation in [Activation::Relu, Activation::Sigmoid] {
+        let net = cnn_net(41, activation);
+        let (mut aliased, mut single) = deploy_both(&net, 64);
+        let inputs = cnn_batch(7);
+        let expected = single.infer_batch(&inputs).unwrap();
+        for parallel in [false, true] {
+            aliased.set_parallel(parallel);
+            assert_eq!(
+                aliased.infer_batch(&inputs).unwrap(),
+                expected,
+                "{activation:?} digital outputs diverged (parallel={parallel})"
+            );
+        }
     }
 }
 
 #[test]
 fn aliased_copies_match_one_bank_under_seeded_noise() {
     let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
-    let net = cnn_net(41);
-    let (mut aliased, mut single) = deploy_both(&net, 64);
-    let inputs = cnn_batch(9);
-    let expected = single_bank_noisy(&mut single, &inputs, &noise, 0xDEED, COPIES);
-    for parallel in [false, true] {
-        aliased.set_parallel(parallel);
-        let got = aliased.infer_batch_noisy(&inputs, &noise, 0xDEED).unwrap();
-        assert_eq!(got, expected, "seeded noisy outputs diverged (parallel={parallel})");
+    for activation in [Activation::Relu, Activation::Sigmoid] {
+        let net = cnn_net(41, activation);
+        let (mut aliased, mut single) = deploy_both(&net, 64);
+        let inputs = cnn_batch(9);
+        let expected = single_bank_noisy(&mut single, &inputs, &noise, 0xDEED, COPIES);
+        for parallel in [false, true] {
+            aliased.set_parallel(parallel);
+            let got = aliased.infer_batch_noisy(&inputs, &noise, 0xDEED).unwrap();
+            assert_eq!(
+                got, expected,
+                "{activation:?} seeded noisy outputs diverged (parallel={parallel})"
+            );
+        }
     }
 }
 
 #[test]
 fn shared_kernel_keeps_less_bank_state_resident() {
-    let net = cnn_net(41);
+    let net = cnn_net(41, Activation::Relu);
     let (aliased, single) = deploy_both(&net, 64);
     let a = aliased.deploy_stats().expect("stats after deploy").clone();
     let s = single.deploy_stats().expect("stats after deploy").clone();
@@ -134,7 +141,7 @@ fn shared_kernel_keeps_less_bank_state_resident() {
 #[test]
 fn searched_deployments_are_bit_identical_to_fixed() {
     let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
-    let net = cnn_net(41);
+    let net = cnn_net(41, Activation::Relu);
     let inputs = cnn_batch(5);
 
     let (mut fixed, mut single) = deploy_both(&net, 64);
@@ -205,7 +212,7 @@ proptest! {
         seed in any::<u64>(),
         noise_seed in any::<u64>(),
     ) {
-        let net = cnn_net(seed);
+        let net = cnn_net(seed, Activation::Relu);
         let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.04 };
         let inputs = cnn_batch(6);
         let (mut aliased, mut single) = deploy_both(&net, 64);

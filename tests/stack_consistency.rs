@@ -3,8 +3,8 @@
 //! composing scheme, command streams vs mapping).
 
 use prime::compiler::HwTarget;
-use prime::core::{FfMat, NnParamFile, PrimeProgram};
-use prime::mem::{MatFunction, MemGeometry};
+use prime::core::{BankController, CommandRunner, FfMat};
+use prime::mem::{Command, MatFunction, MemGeometry};
 use prime::nn::{MlBench, NetworkSpec};
 
 #[test]
@@ -41,21 +41,28 @@ fn ff_mat_capacity_matches_compiler_assumptions() {
 
 #[test]
 fn command_stream_length_tracks_the_mapping() {
-    for bench in [MlBench::MlpS, MlBench::Cnn1] {
-        let spec = bench.spec();
-        let network = spec.to_network().expect("executable benchmark");
-        let params = NnParamFile { spec, network };
-        let mut program = PrimeProgram::new();
-        let mapping = program.map_topology(&params).expect("fits").clone();
-        program.program_weight(&params).expect("consistent");
-        let compiled = program.config_datapath().expect("configured");
-        // Four datapath-configure commands per mapped tile (function,
-        // two bypasses, input source).
-        let tiles: usize = mapping.layers.iter().map(|l| l.base_mats).sum();
-        assert_eq!(compiled.datapath_commands.len(), 4 * tiles, "{}", bench.name());
-        // Data flow: one fetch + one commit + load/store per tile.
-        assert_eq!(compiled.dataflow_commands.len(), 2 + 2 * tiles, "{}", bench.name());
-    }
+    // One MLP-S inference on the device runner issues exactly one `load`
+    // per tile the compiler mapped: the mapping's tile count is the
+    // command stream the runner executes.
+    use prime::compiler::{map_network, CompileOptions};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    let spec = MlBench::MlpS.spec();
+    let mut network = spec.to_network().expect("executable benchmark");
+    network.init_random(&mut SmallRng::seed_from_u64(3));
+    let options = CompileOptions { replicate: false, ..CompileOptions::default() };
+    let mapping = map_network(&spec, &HwTarget::prime_default(), options).expect("fits");
+    let tiles: usize = mapping.layers.iter().map(|l| l.base_mats).sum();
+    let mut bank = BankController::new(2, 16, 4096, 4096);
+    let input = vec![0.5f32; 784];
+    let mut runner =
+        CommandRunner::compile(&network, &mut bank, &input).expect("MLP-S fits one bank");
+    assert_eq!(runner.mats_used(), tiles);
+    let before = bank.commands_issued();
+    runner.infer(&mut bank, &input).expect("runs");
+    assert_eq!(bank.commands_issued() - before, tiles as u64);
+    assert!(bank.log().iter().rev().take(tiles).all(|c| matches!(c, Command::Load { .. })));
 }
 
 #[test]

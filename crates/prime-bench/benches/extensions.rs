@@ -67,7 +67,7 @@ fn bench_command_runner(c: &mut Criterion) {
     net.init_random(&mut rng);
     let input: Vec<f32> = (0..64).map(|_| rng.gen_range(0.0f32..1.0)).collect();
     let mut controller = BankController::new(2, 8, 4096, 8192);
-    let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+    let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
     c.bench_function("command_runner_infer_64_32_10", |b| {
         b.iter(|| runner.infer(&mut controller, black_box(&input)).unwrap())
     });

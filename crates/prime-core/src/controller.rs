@@ -10,8 +10,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
+use prime_device::NoiseModel;
 use prime_mem::{BufAddr, Command, InputSource, MatAddr, MatFunction};
 
 use crate::buffer::BufferSubarray;
@@ -28,7 +30,7 @@ pub(crate) const COMMAND_LOG_CAPACITY: usize = 256;
 
 /// A snapshot of one mat's memory-mode contents, taken while the mat
 /// computes (the §III-A2 data migration).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct MigratedMat {
     rows: Vec<Vec<bool>>,
 }
@@ -71,7 +73,7 @@ impl BankScratch {
 /// assert_eq!(ctrl.buffer_mut().load(BufAddr(0), 3)?, vec![5, 6, 7]);
 /// # Ok::<(), prime_core::PrimeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BankController {
     /// FF mats, indexed `[subarray][mat]`.
     ff: Vec<Vec<FfMat>>,
@@ -94,6 +96,10 @@ pub struct BankController {
     log: VecDeque<Command>,
     /// Every command executed since construction.
     issued: u64,
+    /// Read noise the mats evaluate with and the stream it draws from
+    /// (`None`: exact digital evaluation). See
+    /// [`set_read_noise`](Self::set_read_noise).
+    read_noise: Option<(NoiseModel, SmallRng)>,
 }
 
 impl BankController {
@@ -120,7 +126,19 @@ impl BankController {
             spare_latch: Vec::new(),
             log: VecDeque::new(),
             issued: 0,
+            read_noise: None,
         }
+    }
+
+    /// Sets the read noise this bank's mats evaluate with.
+    /// `Some((noise, seed))` routes every later mat computation through
+    /// the analog voltage/conductance domain, drawing read noise from a
+    /// fresh RNG stream seeded `seed` (plus any programming noise already
+    /// applied to the mats); `None` restores exact digital evaluation.
+    /// Only sensed bitlines draw, in the order the mats compute, so a
+    /// seed and a command stream reproduce the outputs bit for bit.
+    pub fn set_read_noise(&mut self, read_noise: Option<(NoiseModel, u64)>) {
+        self.read_noise = read_noise.map(|(noise, seed)| (noise, SmallRng::seed_from_u64(seed)));
     }
 
     /// The most recent commands executed (at most 256), oldest first.
@@ -317,7 +335,8 @@ impl BankController {
     /// storage, and the consumed latch vector is recycled for the next
     /// `load` — with a reused `scratch`, the whole
     /// load→compute→merge path performs zero steady-state heap
-    /// allocation.
+    /// allocation. The mat evaluates digitally, or through the analog
+    /// domain while the bank has [read noise](Self::set_read_noise).
     ///
     /// # Errors
     ///
@@ -330,41 +349,7 @@ impl BankController {
         out: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
         self.stage_latch_codes(addr, scratch)?;
-        self.ff[addr.subarray][addr.mat].compute_into(
-            &scratch.codes,
-            &mut scratch.mat,
-            &mut scratch.raw,
-        )?;
-        self.finish_compute(addr, scratch, out);
-        Ok(())
-    }
-
-    /// Analog variant of [`compute_mat_into`](Self::compute_mat_into):
-    /// the mat evaluates through the voltage/conductance domain with read
-    /// noise from `noise`, drawing from `rng`. Same scratch contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrimeError::MappingMismatch`] if no data was loaded, or
-    /// mode errors from the mat.
-    pub fn compute_mat_analog_into<R: rand::Rng + ?Sized>(
-        &mut self,
-        addr: MatAddr,
-        noise: &prime_device::NoiseModel,
-        rng: &mut R,
-        scratch: &mut BankScratch,
-        out: &mut Vec<i64>,
-    ) -> Result<(), PrimeError> {
-        self.stage_latch_codes(addr, scratch)?;
-        self.ff[addr.subarray][addr.mat].compute_analog_into(
-            &scratch.codes,
-            noise,
-            rng,
-            &mut scratch.mat,
-            &mut scratch.raw,
-        )?;
-        self.finish_compute(addr, scratch, out);
-        Ok(())
+        self.evaluate_staged(addr, scratch, out)
     }
 
     /// [`compute_mat_into`](Self::compute_mat_into) over caller-provided
@@ -388,41 +373,7 @@ impl BankController {
         out: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
         self.stage_word_codes(addr, words, scratch);
-        self.ff[addr.subarray][addr.mat].compute_into(
-            &scratch.codes,
-            &mut scratch.mat,
-            &mut scratch.raw,
-        )?;
-        self.finish_compute(addr, scratch, out);
-        Ok(())
-    }
-
-    /// Analog variant of
-    /// [`compute_mat_words_into`](Self::compute_mat_words_into). Same
-    /// scratch contract; draws read noise from `rng`.
-    ///
-    /// # Errors
-    ///
-    /// Returns mode errors from the mat.
-    pub fn compute_mat_words_analog_into<R: rand::Rng + ?Sized>(
-        &mut self,
-        addr: MatAddr,
-        words: &[i64],
-        noise: &prime_device::NoiseModel,
-        rng: &mut R,
-        scratch: &mut BankScratch,
-        out: &mut Vec<i64>,
-    ) -> Result<(), PrimeError> {
-        self.stage_word_codes(addr, words, scratch);
-        self.ff[addr.subarray][addr.mat].compute_analog_into(
-            &scratch.codes,
-            noise,
-            rng,
-            &mut scratch.mat,
-            &mut scratch.raw,
-        )?;
-        self.finish_compute(addr, scratch, out);
-        Ok(())
+        self.evaluate_staged(addr, scratch, out)
     }
 
     /// Clamps caller-provided input words into `scratch.codes`, mirroring
@@ -460,14 +411,27 @@ impl BankController {
         Ok(())
     }
 
-    /// Routes raw composed results through the output units into `out`
-    /// and the mat's output register (for `store`), reusing storage.
-    fn finish_compute(&mut self, addr: MatAddr, scratch: &BankScratch, out: &mut Vec<i64>) {
-        let key = (addr.subarray, addr.mat);
-        self.ff[addr.subarray][addr.mat].apply_output_units_into(&scratch.raw, out);
-        let register = self.outputs.entry(key).or_default();
+    /// Evaluates the mat on `scratch.codes` — digitally, or through the
+    /// analog domain with the bank's read noise — and routes the raw
+    /// composed results through the output units into `out` and the mat's
+    /// output register (for `store`), reusing storage.
+    fn evaluate_staged(
+        &mut self,
+        addr: MatAddr,
+        scratch: &mut BankScratch,
+        out: &mut Vec<i64>,
+    ) -> Result<(), PrimeError> {
+        let mat = &mut self.ff[addr.subarray][addr.mat];
+        let BankScratch { codes, mat: mat_scratch, raw } = scratch;
+        match &mut self.read_noise {
+            None => mat.compute_into(codes, mat_scratch, raw)?,
+            Some((noise, rng)) => mat.compute_analog_into(codes, noise, rng, mat_scratch, raw)?,
+        }
+        mat.apply_output_units_into(raw, out);
+        let register = self.outputs.entry((addr.subarray, addr.mat)).or_default();
         register.clear();
         register.extend_from_slice(out);
+        Ok(())
     }
 
     /// Read half of an inter-bank transfer (paper §IV-B large-scale

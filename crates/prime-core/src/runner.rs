@@ -35,15 +35,23 @@
 //! stages, each assigned to a bank. [`CommandRunner::compile_pipeline`]
 //! consumes that stage list as the single source of truth for *where*
 //! layers run, placing each stage's tiles on its assigned bank, and the
-//! stage-level execution API ([`run_stage`](CommandRunner::run_stage) and
-//! friends) lets [`PrimeSystem`](crate::PrimeSystem) move activation
-//! vectors between banks at stage boundaries and overlap stages across a
-//! batch. FC stage boundaries are buffer-resident; conv/pool feature
-//! maps stay Mem-resident and stream through the boundary staging
-//! regions in bursts of at most
-//! [`WINDOW_IO_CHUNK_WORDS`](prime_analyze::WINDOW_IO_CHUNK_WORDS)
+//! stage-level execution API ([`quantize_input`](CommandRunner::quantize_input),
+//! [`run_stage`](CommandRunner::run_stage),
+//! [`stage_transfer_out`](CommandRunner::stage_transfer_out) and
+//! [`stage_transfer_in`](CommandRunner::stage_transfer_in)) lets
+//! [`PrimeSystem`](crate::PrimeSystem) move activation vectors between
+//! banks at stage boundaries and overlap stages across a batch. FC stage
+//! boundaries are buffer-resident; conv/pool feature maps stay
+//! Mem-resident and stream through the boundary staging regions in bursts
+//! of at most [`WINDOW_IO_CHUNK_WORDS`](prime_analyze::WINDOW_IO_CHUNK_WORDS)
 //! words, so wide feature maps never require full-width buffer
 //! residency.
+//!
+//! Read noise is bank state, not an argument: every entry point evaluates
+//! its tiles the way the bank says. A bank given read noise with
+//! [`BankController::set_read_noise`] routes every tile through the
+//! analog voltage/conductance domain and draws from its own seeded
+//! stream; otherwise tiles evaluate digitally and exactly.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,20 +59,11 @@ use prime_circuits::{
     mean_pool_weights, ComposingScheme, MaxPoolUnit, PrecisionController, SigmoidUnit,
 };
 use prime_compiler::PipelineStage;
-use prime_device::NoiseModel;
 use prime_mem::{BufAddr, Command, FfAddr, MatAddr, MatFunction};
 use prime_nn::{Activation, Layer, Network, PoolKind};
 
 use crate::controller::{BankController, BankScratch};
 use crate::error::PrimeError;
-
-/// The analog-evaluation knob threaded through the merge kernel: `None`
-/// evaluates tiles digitally, `Some` routes every tile through the noisy
-/// voltage/conductance domain with the given read-noise model and RNG.
-type Analog<'a, R> = Option<(&'a NoiseModel, &'a mut R)>;
-
-/// Concrete digital instantiation for call sites without an RNG.
-type NoAnalog<'a> = Analog<'a, rand::rngs::SmallRng>;
 
 /// Reusable buffers for [`CommandRunner::infer_into`].
 ///
@@ -304,7 +303,7 @@ impl PlannedLayer {
 ///     Layer::Fc(FullyConnected::new(8, 4, Activation::Identity)),
 /// ])?;
 /// let mut controller = BankController::new(2, 64, 4096, 8192);
-/// let mut runner = CommandRunner::compile(&net, &mut controller, &[0.5; 16])?;
+/// let runner = CommandRunner::compile(&net, &mut controller, &[0.5; 16])?;
 /// let out = runner.infer(&mut controller, &[0.5; 16])?;
 /// assert_eq!(out.len(), 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -442,7 +441,6 @@ impl CommandRunner {
             } else {
                 (ComposingScheme::prime_default(), 256, 128)
             };
-        let in_code_max = f32::from(scheme.input_code_max());
         let code_max = i64::from(scheme.input_code_max());
         let mut planned = Vec::new();
         let mut mats_used = 0usize;
@@ -452,11 +450,9 @@ impl CommandRunner {
             .iter()
             .fold(0.0f32, |m, &v| m.max(v.abs()))
             .max(1e-6);
-        let input_scale = in_max / in_code_max;
-        let mut codes: Vec<i64> = calibration_input
-            .iter()
-            .map(|&v| ((v / input_scale).round().clamp(0.0, in_code_max)) as i64)
-            .collect();
+        let input_scale = in_max / f32::from(scheme.input_code_max());
+        let mut codes = Vec::new();
+        Self::quantize(calibration_input, input_scale, &scheme, &mut codes);
         let mut value_scale = input_scale; // real value of one input code unit
 
         for stage in &stages {
@@ -1150,7 +1146,6 @@ impl CommandRunner {
             codes,
             outputs,
             bias_units,
-            NoAnalog::None,
             &mut acc,
             &mut bank,
             &mut tile_out,
@@ -1164,13 +1159,12 @@ impl CommandRunner {
     /// compute scratch, and the output all reuse their storage, so the
     /// merge kernel performs zero steady-state heap allocation.
     #[allow(clippy::too_many_arguments)]
-    fn merge_reference_into<R: rand::Rng + ?Sized>(
+    fn merge_reference_into(
         tiles: &[PlannedTile],
         controller: &mut BankController,
         codes: &[i64],
         outputs: usize,
         bias_units: &[i64],
-        mut analog: Analog<'_, R>,
         acc: &mut Vec<PrecisionController>,
         bank: &mut BankScratch,
         tile_out: &mut Vec<i64>,
@@ -1195,11 +1189,7 @@ impl CommandRunner {
                 },
                 bytes: (slice.len() * 8) as u64,
             })?;
-            match analog.as_mut() {
-                None => controller.compute_mat_into(tile.mat, bank, tile_out)?,
-                Some((noise, rng)) => controller
-                    .compute_mat_analog_into(tile.mat, noise, &mut **rng, bank, tile_out)?,
-            }
+            controller.compute_mat_into(tile.mat, bank, tile_out)?;
             let (c0, c1) = tile.cols;
             for (i, &v) in tile_out.iter().enumerate().take(c1 - c0) {
                 // Expand the tile's truncated code back to full-precision
@@ -1363,7 +1353,7 @@ impl CommandRunner {
     /// Returns [`PrimeError::BufferOverflow`] or mat errors on a
     /// mis-sized input.
     pub fn infer(
-        &mut self,
+        &self,
         controller: &mut BankController,
         input: &[f32],
     ) -> Result<Vec<f32>, PrimeError> {
@@ -1382,6 +1372,15 @@ impl CommandRunner {
     /// allocation (the command log is a fixed-capacity ring). Bit-identical to
     /// [`infer`](Self::infer).
     ///
+    /// On a bank with [read noise](BankController::set_read_noise), every
+    /// tile evaluates through the analog domain and draws from the bank's
+    /// stream in plan order — for resident conv layers, window chunks
+    /// outer, then tiles, then the chunk's pixels (per-pixel fallback
+    /// layers keep pixels outer, tiles inner) — and only sensed bitlines
+    /// draw, so a seed reproduces the inference. The draw order was
+    /// re-pinned by the weight-stationary conv schedule (DESIGN.md §11);
+    /// every engine runs this one loop, so all stay mutually bit-identical.
+    ///
     /// # Errors
     ///
     /// Returns [`PrimeError::BufferOverflow`] or mat errors on a
@@ -1393,7 +1392,7 @@ impl CommandRunner {
         scratch: &mut InferScratch,
         out: &mut Vec<f32>,
     ) -> Result<(), PrimeError> {
-        self.infer_impl(controller, input, NoAnalog::None, scratch, out, None, None)
+        self.infer_impl(controller, input, scratch, out, None, None)
     }
 
     /// [`infer_into`](Self::infer_into) that additionally records the
@@ -1415,7 +1414,7 @@ impl CommandRunner {
         layer_ns: &mut Vec<f64>,
     ) -> Result<(), PrimeError> {
         layer_ns.clear();
-        self.infer_impl(controller, input, NoAnalog::None, scratch, out, Some(layer_ns), None)
+        self.infer_impl(controller, input, scratch, out, Some(layer_ns), None)
     }
 
     /// [`infer_timed_into`](Self::infer_timed_into) that additionally
@@ -1440,50 +1439,13 @@ impl CommandRunner {
     ) -> Result<(), PrimeError> {
         layer_ns.clear();
         *conv_phases = ConvPhases::default();
-        self.infer_impl(
-            controller,
-            input,
-            NoAnalog::None,
-            scratch,
-            out,
-            Some(layer_ns),
-            Some(conv_phases),
-        )
+        self.infer_impl(controller, input, scratch, out, Some(layer_ns), Some(conv_phases))
     }
 
-    /// Noisy-hardware variant of [`infer_into`](Self::infer_into): every
-    /// tile evaluates through the analog voltage/conductance domain with
-    /// read noise drawn from `rng` (plus any programming noise already
-    /// applied to the mats). Tiles draw from `rng` in plan order — for
-    /// resident conv layers, window chunks outer, then tiles, then the
-    /// chunk's pixels (per-pixel fallback layers keep pixels outer,
-    /// tiles inner) — and only sensed bitlines draw noise, so a given
-    /// RNG state makes the inference reproducible. The draw order was
-    /// re-pinned by the weight-stationary conv schedule (DESIGN.md §11);
-    /// all engines share this loop and stay mutually bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrimeError::BufferOverflow`] or mat errors on a
-    /// mis-sized input.
-    pub fn infer_noisy_into<R: rand::Rng + ?Sized>(
+    fn infer_impl(
         &self,
         controller: &mut BankController,
         input: &[f32],
-        noise: &NoiseModel,
-        rng: &mut R,
-        scratch: &mut InferScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), PrimeError> {
-        self.infer_impl(controller, input, Some((noise, rng)), scratch, out, None, None)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn infer_impl<R: rand::Rng + ?Sized>(
-        &self,
-        controller: &mut BankController,
-        input: &[f32],
-        analog: Analog<'_, R>,
         scratch: &mut InferScratch,
         out: &mut Vec<f32>,
         layer_ns: Option<&mut Vec<f64>>,
@@ -1504,7 +1466,6 @@ impl CommandRunner {
             self.run_stage_impl(
                 0,
                 controller,
-                analog,
                 scratch,
                 &mut codes,
                 Some(out),
@@ -1533,20 +1494,31 @@ impl CommandRunner {
                 reason: format!("{} inputs for a {}-input plan", input.len(), first.inputs),
             });
         }
-        let in_code_max = f32::from(self.scheme.input_code_max());
+        Self::quantize(input, self.input_scale, &self.scheme, codes);
+        Ok(())
+    }
+
+    /// Quantizes real network inputs into unsigned input codes:
+    /// `value / input_scale`, rounded and clamped to the scheme's driver
+    /// range. `codes` is cleared and refilled. Compile-time calibration
+    /// and inference both quantize through here, so a plan is calibrated
+    /// on exactly the codes it is later driven with.
+    fn quantize(input: &[f32], input_scale: f32, scheme: &ComposingScheme, codes: &mut Vec<i64>) {
+        let in_code_max = f32::from(scheme.input_code_max());
         codes.clear();
         codes.extend(
-            input
-                .iter()
-                .map(|&v| ((v / self.input_scale).round().clamp(0.0, in_code_max)) as i64),
+            input.iter().map(|&v| ((v / input_scale).round().clamp(0.0, in_code_max)) as i64),
         );
-        Ok(())
     }
 
     /// Runs one pipeline stage on its bank: `codes` enters holding the
     /// stage's input activation codes and leaves holding its output codes
     /// (non-final stages). The final stage instead fills `out` with the
-    /// real-valued network outputs. Digital path.
+    /// real-valued network outputs. Tiles evaluate digitally, or with the
+    /// bank's [read noise](BankController::set_read_noise) drawn in the
+    /// plan order [`infer_into`](Self::infer_into) describes; each stage's
+    /// bank owns its stream, so overlapped (pipelined) and serial execution
+    /// consume identical per-bank sequences.
     ///
     /// # Errors
     ///
@@ -1560,39 +1532,14 @@ impl CommandRunner {
         codes: &mut Vec<i64>,
         out: Option<&mut Vec<f32>>,
     ) -> Result<(), PrimeError> {
-        self.run_stage_impl(stage, bank, NoAnalog::None, scratch, codes, out, None, None)
-    }
-
-    /// Noisy-hardware variant of [`run_stage`](Self::run_stage): every
-    /// tile of the stage evaluates through the analog domain drawing read
-    /// noise from `rng`. Each stage's bank owns its own RNG stream, so
-    /// overlapped (pipelined) and serial execution consume identical
-    /// per-bank sequences.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrimeError::MappingMismatch`] for a missing `out` on the
-    /// final stage, or buffer/mat errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_stage_noisy<R: rand::Rng + ?Sized>(
-        &self,
-        stage: usize,
-        bank: &mut BankController,
-        noise: &NoiseModel,
-        rng: &mut R,
-        scratch: &mut InferScratch,
-        codes: &mut Vec<i64>,
-        out: Option<&mut Vec<f32>>,
-    ) -> Result<(), PrimeError> {
-        self.run_stage_impl(stage, bank, Some((noise, rng)), scratch, codes, out, None, None)
+        self.run_stage_impl(stage, bank, scratch, codes, out, None, None)
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn run_stage_impl<R: rand::Rng + ?Sized>(
+    fn run_stage_impl(
         &self,
         stage: usize,
         bank: &mut BankController,
-        mut analog: Analog<'_, R>,
         scratch: &mut InferScratch,
         codes: &mut Vec<i64>,
         mut out: Option<&mut Vec<f32>>,
@@ -1643,7 +1590,6 @@ impl CommandRunner {
                         codes,
                         plan.outputs,
                         &plan.bias_units,
-                        analog.as_mut().map(|(noise, rng)| (*noise, &mut **rng)),
                         merge_acc,
                         bank_scratch,
                         tile_out,
@@ -1750,23 +1696,12 @@ impl CommandRunner {
                                     for p in 0..cp {
                                         let win = &win_chunk
                                             [p * window_rows + r0..p * window_rows + r1];
-                                        match analog.as_mut() {
-                                            None => bank.compute_mat_words_into(
-                                                tile.mat,
-                                                win,
-                                                bank_scratch,
-                                                tile_out,
-                                            )?,
-                                            Some((noise, rng)) => bank
-                                                .compute_mat_words_analog_into(
-                                                    tile.mat,
-                                                    win,
-                                                    noise,
-                                                    &mut **rng,
-                                                    bank_scratch,
-                                                    tile_out,
-                                                )?,
-                                        }
+                                        bank.compute_mat_words_into(
+                                            tile.mat,
+                                            win,
+                                            bank_scratch,
+                                            tile_out,
+                                        )?;
                                         for (i, &v) in
                                             tile_out.iter().enumerate().take(c1 - c0)
                                         {
@@ -1816,7 +1751,6 @@ impl CommandRunner {
                                     window,
                                     out_ch,
                                     &plan.bias_units,
-                                    analog.as_mut().map(|(noise, rng)| (*noise, &mut **rng)),
                                     merge_acc,
                                     bank_scratch,
                                     tile_out,
@@ -1880,58 +1814,6 @@ impl CommandRunner {
         }
         Ok(())
     }
-
-    /// Runs one inference through a multi-bank pipelined plan serially:
-    /// stage by stage, moving the activation vector between banks with
-    /// the stage transfer protocol at each boundary. Allocating
-    /// convenience wrapper (the batched engines in
-    /// [`PrimeSystem`](crate::PrimeSystem) reuse scratches instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrimeError::MappingMismatch`] if `banks` is shorter than
-    /// the plan's span, or buffer/mat errors.
-    pub fn infer_pipelined(
-        &self,
-        banks: &mut [BankController],
-        input: &[f32],
-    ) -> Result<Vec<f32>, PrimeError> {
-        if banks.len() < self.banks_spanned() {
-            return Err(PrimeError::MappingMismatch {
-                reason: format!(
-                    "plan spans {} banks but {} were provided",
-                    self.banks_spanned(),
-                    banks.len()
-                ),
-            });
-        }
-        let mut scratch = InferScratch::new();
-        let mut codes = Vec::new();
-        let mut out = Vec::new();
-        self.quantize_input(input, &mut codes)?;
-        let last = self.stage_count() - 1;
-        for s in 0..=last {
-            let bank_idx = self.stage_bank(s);
-            if s > 0 {
-                let prev = self.stage_bank(s - 1);
-                let (head, tail) = banks.split_at_mut(bank_idx);
-                self.stage_transfer_out(s - 1, &mut head[prev], &mut codes)?;
-                self.stage_transfer_in(s, &mut tail[0], &codes)?;
-            }
-            let out_opt = if s == last { Some(&mut out) } else { None };
-            self.run_stage_impl(
-                s,
-                &mut banks[bank_idx],
-                NoAnalog::None,
-                &mut scratch,
-                &mut codes,
-                out_opt,
-                None,
-                None,
-            )?;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -1977,7 +1859,7 @@ mod tests {
         let net = relu_net(&mut rng);
         let input: Vec<f32> = (0..20).map(|i| ((i * 7 % 13) as f32) / 13.0).collect();
         let mut controller = BankController::new(2, 8, 4096, 8192);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
         let hw = runner.infer(&mut controller, &input).unwrap();
         let sw = net.forward(&input).unwrap();
         let max = sw.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(0.2);
@@ -1993,7 +1875,7 @@ mod tests {
         let net = conv_pool_net(&mut rng);
         let input = image_input(64, 1);
         let mut controller = BankController::new(2, 8, 4096, 8192);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
         // Conv needs one mat, the FC head another; pooling needs none.
         assert_eq!(runner.mats_used(), 2);
         let hw = runner.infer(&mut controller, &input).unwrap();
@@ -2011,7 +1893,7 @@ mod tests {
         let net = conv_pool_net(&mut rng);
         let calib = image_input(64, 0);
         let mut controller = BankController::new(2, 8, 4096, 8192);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &calib).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &calib).unwrap();
         let mut agree = 0;
         let trials = 10;
         for t in 0..trials {
@@ -2040,7 +1922,7 @@ mod tests {
         net.init_random(&mut rng);
         let input = image_input(64, 2);
         let mut controller = BankController::new(2, 8, 4096, 8192);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
         let hw = runner.infer(&mut controller, &input).unwrap();
         let sw = net.forward(&input).unwrap();
         let max = sw.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(0.2);
@@ -2055,7 +1937,7 @@ mod tests {
         let net = relu_net(&mut rng);
         let calib: Vec<f32> = vec![0.5; 20];
         let mut controller = BankController::new(2, 8, 4096, 8192);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &calib).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &calib).unwrap();
         let mut agree = 0;
         let trials = 10;
         for t in 0..trials {
@@ -2089,7 +1971,7 @@ mod tests {
         net.init_random(&mut rng);
         let input = image_input(64, 4);
         let mut controller = BankController::new(2, 8, 4096, 8192);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
         assert_eq!(
             runner.layer_labels(),
             vec!["conv3x3 1-3ch 8x8 sigmoid", "maxpool2x2 3ch", "fc 48-12 sigmoid", "fc 12-4"]
@@ -2148,7 +2030,7 @@ mod tests {
         let err = CommandRunner::compile(&net, &mut controller, &[0.5; 3]);
         assert!(matches!(err, Err(PrimeError::MappingMismatch { .. })));
         // A wrong-sized inference input is the same typed error.
-        let mut runner = CommandRunner::compile(&net, &mut controller, &[0.5; 36]).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &[0.5; 36]).unwrap();
         let err = runner.infer(&mut controller, &[0.5; 10]);
         assert!(
             matches!(err, Err(PrimeError::MappingMismatch { .. })),
@@ -2178,7 +2060,7 @@ mod tests {
         let net = relu_net(&mut rng);
         let input: Vec<f32> = vec![0.4; 20];
         let mut controller = BankController::new(2, 8, 4096, 8192);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
         let before = controller.commands_issued();
         runner.infer(&mut controller, &input).unwrap();
         // One `load` per FC tile: the tile count is the command stream.

@@ -19,6 +19,8 @@
 //! pressure (§IV-C).
 
 use std::collections::HashSet;
+use std::iter::StepBy;
+use std::ops::Range;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -44,9 +46,23 @@ type CopyBatch = Result<Vec<(usize, Vec<f32>)>, (usize, PrimeError)>;
 /// (input index, activation codes) forwarded between pipeline stages.
 type StagePacket = (usize, Vec<i64>);
 
-/// A stage thread's channel ends: receiver from the previous stage and
-/// sender to the next (absent at the pipe's boundaries).
-type StageLink = (Option<mpsc::Receiver<StagePacket>>, Option<mpsc::Sender<StagePacket>>);
+/// Where a stage worker takes its packets from.
+enum Upstream {
+    /// Stage 0: the batch indices of the copy's inputs, each quantized
+    /// into a code vector the final stage recycles back on `recycled`.
+    Inputs { order: StepBy<Range<usize>>, recycled: mpsc::Receiver<Vec<i64>> },
+    /// Any later stage: the previous stage's packets.
+    Stage(mpsc::Receiver<StagePacket>),
+}
+
+/// Where a stage worker sends its packets.
+enum Downstream {
+    /// Any earlier stage: the next stage.
+    Stage(mpsc::Sender<StagePacket>),
+    /// The final stage: outputs are kept, and spent code vectors go back
+    /// to stage 0 (in a one-stage pipe, to the worker itself).
+    Recycle(mpsc::Sender<Vec<i64>>),
+}
 
 /// Aggregate statistics of a PRIME system.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -512,7 +528,10 @@ impl PrimeSystem {
     /// `seed.wrapping_add(b)`; since input `i` always runs on copy
     /// `i % copies` and each pipeline stage owns one bank, the serial and
     /// overlapped engines consume identical per-bank streams and stay
-    /// bit-identical.
+    /// bit-identical. The streams are
+    /// [bank state](BankController::set_read_noise) for the length of
+    /// this call only: every bank is digital again when it returns, with
+    /// `Ok` or `Err`.
     ///
     /// # Errors
     ///
@@ -570,40 +589,52 @@ impl PrimeSystem {
     fn infer_batch_impl(
         &mut self,
         inputs: &[Vec<f32>],
-        analog: Option<(&NoiseModel, u64)>,
+        read_noise: Option<(&NoiseModel, u64)>,
     ) -> Result<Vec<Vec<f32>>, PrimeError> {
         if self.runners.is_empty() {
             return Err(PrimeError::MappingMismatch {
                 reason: "no network deployed".to_string(),
             });
         }
+        // Read noise is bank state for the length of this call only: every
+        // bank leaves digital again, on `Ok` and `Err` alike, so
+        // calibration and digital calls never see it.
+        self.set_read_noise(read_noise);
+        let result = self.run_batch(inputs);
+        self.set_read_noise(None);
+        result
+    }
+
+    /// Gives bank `b` the read noise `noise` on a stream seeded
+    /// `seed.wrapping_add(b)`, or makes every bank digital (`None`).
+    fn set_read_noise(&mut self, read_noise: Option<(&NoiseModel, u64)>) {
+        for (b, bank) in self.banks.iter_mut().enumerate() {
+            let stream = read_noise.map(|(noise, seed)| (*noise, seed.wrapping_add(b as u64)));
+            bank.set_read_noise(stream);
+        }
+    }
+
+    /// The batch engines behind [`infer_batch`](Self::infer_batch) and
+    /// [`infer_batch_noisy`](Self::infer_batch_noisy). Both drive every
+    /// inference through [`stage_step`](Self::stage_step), one stage on
+    /// its bank at a time.
+    fn run_batch(&mut self, inputs: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, PrimeError> {
         let bpc = self.banks_per_copy;
         let copies = self.runners.len();
         let stages = self.runners[0].stage_count();
-        // Per-bank RNG streams for the noisy path (None slots: digital).
-        let mut rngs: Vec<Option<SmallRng>> = match analog {
-            Some((_, seed)) => (0..self.banks.len())
-                .map(|b| Some(SmallRng::seed_from_u64(seed.wrapping_add(b as u64))))
-                .collect(),
-            None => (0..self.banks.len()).map(|_| None).collect(),
-        };
-        let noise = analog.map(|(m, _)| m);
         if !self.parallel || inputs.len() <= 1 || (copies == 1 && stages == 1) {
             let mut outputs = Vec::with_capacity(inputs.len());
             for (i, input) in inputs.iter().enumerate() {
                 let c = i % copies;
-                let span = c * bpc..(c + 1) * bpc;
+                let runner = &self.runners[c];
+                let (bank0, codes) = (c * bpc, &mut self.carry);
                 let mut out = Vec::new();
-                Self::infer_one_pipelined(
-                    &self.runners[c],
-                    &mut self.banks[span.clone()],
-                    &mut self.scratches[span.clone()],
-                    noise,
-                    &mut rngs[span],
-                    input,
-                    &mut self.carry,
-                    &mut out,
-                )?;
+                runner.quantize_input(input, codes)?;
+                for s in 0..runner.stage_count() {
+                    let b = bank0 + runner.stage_bank(s);
+                    let (bank, scratch) = (&mut self.banks[b], &mut self.scratches[b]);
+                    Self::stage_step(runner, s, bank, scratch, codes, &mut out)?;
+                }
                 outputs.push(out);
                 self.stats.inferences += 1;
             }
@@ -613,196 +644,51 @@ impl PrimeSystem {
         // group and processes exactly the inputs the serial round-robin
         // would hand it (i % copies == c), in order; within a copy the
         // stage threads form a pipe connected by channels, so input i+1
-        // occupies stage 0 while input i runs in stage 1. Every bank's
-        // controller, scratch, and RNG stream stay thread-private and see
-        // the same per-bank work sequence as the serial engine, so
-        // outputs and RNG draws match it bit for bit.
+        // occupies stage 0 while input i runs in stage 1. A single-stage
+        // copy is a one-stage pipe. Every bank's controller (with its read
+        // noise stream) and scratch stay thread-private and see the same
+        // per-bank work sequence as the serial engine, so outputs and RNG
+        // draws match it bit for bit.
         let runners = &self.runners;
         let results: Vec<CopyBatch> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (c, ((banks, scratches), rngs)) in self
+            for (c, (banks, scratches)) in self
                 .banks
                 .chunks_mut(bpc)
                 .zip(self.scratches.chunks_mut(bpc))
-                .zip(rngs.chunks_mut(bpc))
                 .take(copies)
                 .enumerate()
             {
                 let runner = &runners[c];
-                let s_count = runner.stage_count();
-                if s_count == 1 {
-                    // Single-stage copy: one thread runs whole inferences,
-                    // exactly the pre-pipeline bank-parallel engine.
-                    let (bank, scratch, rng) =
-                        (&mut banks[0], &mut scratches[0], &mut rngs[0]);
-                    handles.push(scope.spawn(move || {
-                        let mut done = Vec::new();
-                        for (i, input) in inputs.iter().enumerate().skip(c).step_by(copies) {
-                            let mut out = Vec::new();
-                            match (noise, rng.as_mut()) {
-                                (Some(noise), Some(rng)) => runner
-                                    .infer_noisy_into(bank, input, noise, rng, scratch, &mut out),
-                                _ => runner.infer_into(bank, input, scratch, &mut out),
-                            }
-                            .map_err(|e| (i, e))?;
-                            done.push((i, out));
-                        }
-                        Ok(done)
-                    }));
-                    continue;
-                }
+                let stages = runner.stage_count();
                 // Forward channels between consecutive stages carry
                 // (input index, activation codes); a recycle channel
                 // returns spent code vectors from the final stage to
                 // stage 0 so the steady state allocates nothing.
-                let mut links: Vec<StageLink> = Vec::with_capacity(s_count);
-                let mut prev_rx = None;
-                for _ in 1..s_count {
+                let (recycle_tx, recycle_rx) = mpsc::channel();
+                let order = (c..inputs.len()).step_by(copies);
+                let mut upstreams = vec![Upstream::Inputs { order, recycled: recycle_rx }];
+                let mut downstreams = Vec::with_capacity(stages);
+                for _ in 1..stages {
                     let (tx, rx) = mpsc::channel();
-                    links.push((prev_rx.replace(rx), Some(tx)));
+                    downstreams.push(Downstream::Stage(tx));
+                    upstreams.push(Upstream::Stage(rx));
                 }
-                links.push((prev_rx.take(), None));
-                let (recycle_tx, recycle_rx) = mpsc::channel::<Vec<i64>>();
-                let mut recycle_tx = Some(recycle_tx);
-                let mut recycle_rx = Some(recycle_rx);
-                // Hand each stage its bank's controller, scratch, and RNG
-                // stream. Stage banks are distinct and in range (verified
-                // at deploy), so every resource reaches at most one stage.
-                let mut stage_res: Vec<
-                    Option<(&mut BankController, &mut InferScratch, &mut Option<SmallRng>)>,
-                > = (0..s_count).map(|_| None).collect();
-                for (b, ((bank, scratch), rng)) in banks
+                downstreams.push(Downstream::Recycle(recycle_tx));
+                // Stage banks strictly increase (checked when the plan
+                // compiled), so walking the group in bank order meets the
+                // stage banks in stage order, each exactly once.
+                let stage_banks = banks
                     .iter_mut()
                     .zip(scratches.iter_mut())
-                    .zip(rngs.iter_mut())
                     .enumerate()
+                    .filter(|(b, _)| (0..stages).any(|s| runner.stage_bank(s) == *b));
+                for (s, (((_, (bank, scratch)), upstream), downstream)) in
+                    stage_banks.zip(upstreams).zip(downstreams).enumerate()
                 {
-                    if let Some(s) = (0..s_count).find(|&s| runner.stage_bank(s) == b) {
-                        stage_res[s] = Some((bank, scratch, rng));
-                    }
-                }
-                for s in 0..s_count {
-                    let Some((bank, scratch, rng)) = stage_res[s].take() else {
-                        continue;
-                    };
-                    let (rx, tx) = std::mem::take(&mut links[s]);
-                    if s == 0 {
-                        // First stage: no predecessor, feeds a successor.
-                        let (Some(tx), Some(recycle_rx)) = (tx, recycle_rx.take()) else {
-                            continue;
-                        };
-                        handles.push(scope.spawn(move || {
-                            // Bound the in-flight vectors: allocate a few,
-                            // then block on recycling — the backpressure
-                            // keeps steady-state allocation at zero. The
-                            // credit count is the same constant the Pass-3
-                            // stage-graph check certifies nonzero.
-                            let mut credits = prime_compiler::pipeline_credits(s_count);
-                            for (i, input) in inputs.iter().enumerate().skip(c).step_by(copies) {
-                                let mut codes = match recycle_rx.try_recv() {
-                                    Ok(v) => v,
-                                    Err(_) if credits > 0 => {
-                                        credits -= 1;
-                                        Vec::new()
-                                    }
-                                    Err(_) => match recycle_rx.recv() {
-                                        Ok(v) => v,
-                                        // The pipe died downstream; the
-                                        // failing stage reports the error.
-                                        Err(_) => break,
-                                    },
-                                };
-                                if let Err(e) = runner.quantize_input(input, &mut codes) {
-                                    return Err((i, e));
-                                }
-                                let run = match (noise, rng.as_mut()) {
-                                    (Some(noise), Some(rng)) => runner.run_stage_noisy(
-                                        0, &mut *bank, noise, rng, &mut *scratch, &mut codes, None,
-                                    ),
-                                    _ => runner
-                                        .run_stage(0, &mut *bank, &mut *scratch, &mut codes, None),
-                                };
-                                if let Err(e) = run {
-                                    return Err((i, e));
-                                }
-                                if let Err(e) = runner.stage_transfer_out(0, bank, &mut codes) {
-                                    return Err((i, e));
-                                }
-                                if tx.send((i, codes)).is_err() {
-                                    break;
-                                }
-                            }
-                            Ok(Vec::new())
-                        }));
-                    } else if s < s_count - 1 {
-                        // Interior stage: a predecessor and a successor.
-                        let (Some(rx), Some(tx)) = (rx, tx) else {
-                            continue;
-                        };
-                        handles.push(scope.spawn(move || {
-                            for (i, mut codes) in rx {
-                                if let Err(e) = runner.stage_transfer_in(s, bank, &codes) {
-                                    return Err((i, e));
-                                }
-                                let run = match (noise, rng.as_mut()) {
-                                    (Some(noise), Some(rng)) => runner.run_stage_noisy(
-                                        s, &mut *bank, noise, rng, &mut *scratch, &mut codes, None,
-                                    ),
-                                    _ => runner
-                                        .run_stage(s, &mut *bank, &mut *scratch, &mut codes, None),
-                                };
-                                if let Err(e) = run {
-                                    return Err((i, e));
-                                }
-                                if let Err(e) = runner.stage_transfer_out(s, bank, &mut codes) {
-                                    return Err((i, e));
-                                }
-                                if tx.send((i, codes)).is_err() {
-                                    break;
-                                }
-                            }
-                            Ok(Vec::new())
-                        }));
-                    } else {
-                        // Final stage: recycles spent vectors to stage 0.
-                        let (Some(rx), Some(recycle_tx)) = (rx, recycle_tx.take()) else {
-                            continue;
-                        };
-                        handles.push(scope.spawn(move || {
-                            let mut done = Vec::new();
-                            for (i, mut codes) in rx {
-                                if let Err(e) = runner.stage_transfer_in(s, bank, &codes) {
-                                    return Err((i, e));
-                                }
-                                let mut out = Vec::new();
-                                let run = match (noise, rng.as_mut()) {
-                                    (Some(noise), Some(rng)) => runner.run_stage_noisy(
-                                        s,
-                                        &mut *bank,
-                                        noise,
-                                        rng,
-                                        &mut *scratch,
-                                        &mut codes,
-                                        Some(&mut out),
-                                    ),
-                                    _ => runner.run_stage(
-                                        s,
-                                        &mut *bank,
-                                        &mut *scratch,
-                                        &mut codes,
-                                        Some(&mut out),
-                                    ),
-                                };
-                                if let Err(e) = run {
-                                    return Err((i, e));
-                                }
-                                done.push((i, out));
-                                // Stage 0 may already have exited.
-                                let _ = recycle_tx.send(codes);
-                            }
-                            Ok(done)
-                        }));
-                    }
+                    handles.push(scope.spawn(move || {
+                        Self::stage_worker(runner, s, bank, scratch, inputs, upstream, downstream)
+                    }));
                 }
             }
             handles
@@ -854,52 +740,95 @@ impl PrimeSystem {
         Ok(outputs)
     }
 
-    /// One inference through one copy's bank group, stage by stage:
-    /// quantize, run each stage on its bank, and move the activation
-    /// codes between banks at every stage boundary
-    /// ([`stage_transfer_out`](CommandRunner::stage_transfer_out) on the
-    /// upstream bank, [`stage_transfer_in`](CommandRunner::stage_transfer_in)
-    /// on the downstream one — the same buffer operations the overlapped
-    /// engine performs, so both engines account identical traffic; FC
-    /// boundaries move the full buffer-resident vector, conv/pool
-    /// boundaries stream their Mem-resident feature maps in bursts).
-    /// Digital or analog per `noise`/`rngs`.
-    #[allow(clippy::too_many_arguments)]
-    fn infer_one_pipelined(
+    /// One stage of one inference on the stage's bank: land the previous
+    /// stage's activation codes
+    /// ([`stage_transfer_in`](CommandRunner::stage_transfer_in), every
+    /// stage but the first), run the stage, and move its output out of the
+    /// bank ([`stage_transfer_out`](CommandRunner::stage_transfer_out),
+    /// every stage but the last, whose run fills `out` instead). FC
+    /// boundaries move the full buffer-resident vector; conv/pool
+    /// boundaries stream their Mem-resident feature maps in bursts. The
+    /// serial loop and every stage worker step through here, so both
+    /// engines issue identical buffer traffic and mat evaluations per bank.
+    fn stage_step(
         runner: &CommandRunner,
-        banks: &mut [BankController],
-        scratches: &mut [InferScratch],
-        noise: Option<&NoiseModel>,
-        rngs: &mut [Option<SmallRng>],
-        input: &[f32],
-        carry: &mut Vec<i64>,
+        s: usize,
+        bank: &mut BankController,
+        scratch: &mut InferScratch,
+        codes: &mut Vec<i64>,
         out: &mut Vec<f32>,
     ) -> Result<(), PrimeError> {
-        runner.quantize_input(input, carry)?;
         let last = runner.stage_count() - 1;
-        for s in 0..=last {
-            let b = runner.stage_bank(s);
-            if s > 0 {
-                let prev = runner.stage_bank(s - 1);
-                let (head, tail) = banks.split_at_mut(b);
-                runner.stage_transfer_out(s - 1, &mut head[prev], carry)?;
-                runner.stage_transfer_in(s, &mut tail[0], carry)?;
-            }
-            let out_opt = (s == last).then_some(&mut *out);
-            match (noise, rngs[b].as_mut()) {
-                (Some(noise), Some(rng)) => runner.run_stage_noisy(
-                    s,
-                    &mut banks[b],
-                    noise,
-                    rng,
-                    &mut scratches[b],
-                    carry,
-                    out_opt,
-                )?,
-                _ => runner.run_stage(s, &mut banks[b], &mut scratches[b], carry, out_opt)?,
-            }
+        if s > 0 {
+            runner.stage_transfer_in(s, bank, codes)?;
+        }
+        runner.run_stage(s, bank, scratch, codes, (s == last).then_some(out))?;
+        if s < last {
+            runner.stage_transfer_out(s, bank, codes)?;
         }
         Ok(())
+    }
+
+    /// The thread body of stage `s` of one copy's pipe, at any position:
+    /// take a packet from `upstream`, [`stage_step`](Self::stage_step) it
+    /// on the stage's bank, pass it `downstream`. Returns the outputs the
+    /// stage completed (only the final stage completes any), or the first
+    /// (input index, error) it hit; a broken pipe ends the worker quietly,
+    /// since the failing stage reports the error.
+    fn stage_worker(
+        runner: &CommandRunner,
+        s: usize,
+        bank: &mut BankController,
+        scratch: &mut InferScratch,
+        inputs: &[Vec<f32>],
+        mut upstream: Upstream,
+        downstream: Downstream,
+    ) -> CopyBatch {
+        // Stage 0 bounds the in-flight vectors: it allocates a few, then
+        // blocks on recycling — the backpressure keeps steady-state
+        // allocation at zero. The credit count is the same constant the
+        // Pass-3 stage-graph check certifies nonzero.
+        let mut credits = prime_compiler::pipeline_credits(runner.stage_count());
+        let mut done = Vec::new();
+        loop {
+            let (i, mut codes) = match &mut upstream {
+                Upstream::Inputs { order, recycled } => {
+                    let Some(i) = order.next() else { break };
+                    let mut codes = match recycled.try_recv() {
+                        Ok(v) => v,
+                        Err(_) if credits > 0 => {
+                            credits -= 1;
+                            Vec::new()
+                        }
+                        Err(_) => match recycled.recv() {
+                            Ok(v) => v,
+                            Err(_) => break,
+                        },
+                    };
+                    runner.quantize_input(&inputs[i], &mut codes).map_err(|e| (i, e))?;
+                    (i, codes)
+                }
+                Upstream::Stage(rx) => match rx.recv() {
+                    Ok(packet) => packet,
+                    Err(_) => break,
+                },
+            };
+            let mut out = Vec::new();
+            Self::stage_step(runner, s, bank, scratch, &mut codes, &mut out).map_err(|e| (i, e))?;
+            match &downstream {
+                Downstream::Stage(tx) => {
+                    if tx.send((i, codes)).is_err() {
+                        break;
+                    }
+                }
+                Downstream::Recycle(recycle) => {
+                    done.push((i, out));
+                    // Stage 0 may already have exited.
+                    let _ = recycle.send(codes);
+                }
+            }
+        }
+        Ok(done)
     }
 
     /// OS hook: records one page access and applies the §IV-C policy —

@@ -36,7 +36,7 @@ proptest! {
         let net = Network::new(vec![Layer::Fc(fc.clone())]).unwrap();
         let sw = fc.forward(&input).unwrap();
         let mut controller = BankController::new(1, 1, 1024, 1024);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
+        let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
         let hw = runner.infer(&mut controller, &input).unwrap();
         // Tolerance: the 6-bit output window of the calibrated SA plus
         // input/weight quantization, relative to the output range.

@@ -128,7 +128,7 @@ proptest! {
             .map(|i| ((i * 7 + seed as usize % 5) % 13) as f32 / 13.0)
             .collect();
         let mut controller = BankController::new(2, 8, 4096, 8192);
-        let mut runner = CommandRunner::compile(&net, &mut controller, &input)
+        let runner = CommandRunner::compile(&net, &mut controller, &input)
             .expect("small conv compiles");
         let hw = runner.infer(&mut controller, &input).unwrap();
         let sw = net.forward(&input).unwrap();

@@ -8,7 +8,7 @@
 //! must additionally match the same network flattened onto one
 //! sufficiently large bank (placement never changes arithmetic).
 
-use prime::core::PrimeSystem;
+use prime::core::{BankController, CommandRunner, InferScratch, PrimeError, PrimeSystem};
 use prime::device::NoiseModel;
 use prime::nn::{Activation, Conv2d, FullyConnected, Layer, Network, Pool2d, PoolKind};
 use proptest::prelude::*;
@@ -379,5 +379,146 @@ proptest! {
         piped.set_parallel(parallel);
         let outputs = piped.infer_batch(&inputs).unwrap();
         prop_assert_eq!(outputs, reference);
+    }
+}
+
+/// FNV-1a (64-bit) over the IEEE bit patterns of a batch's outputs, input
+/// by input.
+fn output_hash(outputs: &[Vec<f32>]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in outputs.iter().flatten().flat_map(|v| v.to_bits().to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Golden outputs. Every other test here compares one engine with another,
+/// so a change that moved every engine at once (say, the conv read-noise
+/// draw order: chunk, then tile, then pixel) would pass them all. These
+/// hashes pin the absolute output bits, digital and seeded-noisy, on both
+/// engines.
+#[test]
+fn outputs_match_pinned_golden_hashes() {
+    let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
+    let cnn_system = |banks, ff_subarrays, mats, seed| {
+        let mut system = PrimeSystem::new(banks, ff_subarrays, mats, 2048);
+        system.deploy(&cnn_net(seed), &cnn_calibration()).expect("fits");
+        system
+    };
+    // (name, system, inputs, (digital hash, noisy hash)). Re-pin only for
+    // a deliberate change to the arithmetic or the noise draw order.
+    let cases = [
+        (
+            "relu_net, 2 copies",
+            deployed_system(2),
+            batch(13),
+            (0x3a0a_7ce1_0652_b8da, 0x59d5_0949_184b_38de),
+        ),
+        (
+            "deep_net, 4 stages",
+            pipelined_system(4),
+            deep_batch(11),
+            (0xf0ca_b102_0d88_d066, 0x11bf_cf3c_d3f1_952a),
+        ),
+        (
+            "cnn_net, 1 bank",
+            cnn_system(1, 2, 4, 41),
+            cnn_batch(7),
+            (0x9a80_5de8_ee89_808a, 0x2a65_5d1a_7cc9_8ce8),
+        ),
+        (
+            "cnn_net, 2 stages",
+            cnn_system(2, 1, 1, 43),
+            cnn_batch(5),
+            (0xaefd_6a4f_24ef_79da, 0x75ff_c74e_dd38_290b),
+        ),
+    ];
+    for (name, mut system, inputs, pinned) in cases {
+        for parallel in [false, true] {
+            system.set_parallel(parallel);
+            let got = (
+                output_hash(&system.infer_batch(&inputs).unwrap()),
+                output_hash(&system.infer_batch_noisy(&inputs, &noise, 0x5EED).unwrap()),
+            );
+            assert_eq!(got, pinned, "{name} (parallel: {parallel}) drifted from its golden hashes");
+        }
+    }
+}
+
+/// Read noise is bank state for the length of one noisy call only. After
+/// a noisy batch returns, `Ok` or `Err` on a wrong-width input in
+/// mid-batch, a digital batch matches a fresh system bit for bit, and so
+/// does a redeploy (whose calibration runs on the banks) followed by one.
+#[test]
+fn read_noise_does_not_outlive_its_call() {
+    let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
+    assert_eq!(deployed_system(2).copies(), 2);
+    assert_eq!(pipelined_system(4).deployed_stages(), Some(4));
+    for pipelined in [false, true] {
+        let (name, net, calibration, inputs) = if pipelined {
+            ("deep_net, 4 stages", deep_net(23), vec![0.5; 48], deep_batch(9))
+        } else {
+            ("relu_net, 2 copies", relu_net(7), vec![0.5; 16], batch(9))
+        };
+        let fresh = || if pipelined { pipelined_system(4) } else { deployed_system(2) };
+        let reference = fresh().infer_batch(&inputs).unwrap();
+        let mut broken = inputs.clone();
+        broken[4].pop();
+        let noisy_call = |system: &mut PrimeSystem, fails: bool| {
+            let batch = if fails { &broken } else { &inputs };
+            match system.infer_batch_noisy(batch, &noise, 0xD1CE) {
+                Ok(outputs) => {
+                    assert!(!fails, "{name}: a wrong-width input must fail the batch");
+                    assert_ne!(outputs, reference, "{name}: read noise never applied");
+                }
+                Err(e) => assert!(
+                    fails && matches!(e, PrimeError::MappingMismatch { .. }),
+                    "{name}: unexpected error {e:?}"
+                ),
+            }
+        };
+        for parallel in [false, true] {
+            for fails in [false, true] {
+                let mut system = fresh();
+                system.set_parallel(parallel);
+                noisy_call(&mut system, fails);
+                assert_eq!(
+                    system.infer_batch(&inputs).unwrap(),
+                    reference,
+                    "{name} (parallel: {parallel}, failed: {fails}): digital batch saw read noise"
+                );
+                noisy_call(&mut system, fails);
+                system.deploy(&net, &calibration).expect("redeploys");
+                assert_eq!(
+                    system.infer_batch(&inputs).unwrap(),
+                    reference,
+                    "{name} (parallel: {parallel}, failed: {fails}): redeploy saw read noise"
+                );
+            }
+        }
+    }
+}
+
+/// The runner takes read noise from its bank: a 1-bank plan driven
+/// through `CommandRunner::infer_into` on a bank given the stream `seed`
+/// reproduces `infer_batch_noisy(.., seed)` on a 1-bank system, whose bank
+/// 0 draws from `seed + 0`.
+#[test]
+fn runner_on_a_noisy_bank_matches_the_system_noisy_path() {
+    let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
+    let net = cnn_net(41);
+    let inputs = cnn_batch(5);
+    let mut system = PrimeSystem::new(1, 2, 4, 2048);
+    system.deploy(&net, &cnn_calibration()).expect("fits");
+    let expected = system.infer_batch_noisy(&inputs, &noise, 0xD1CE).unwrap();
+    // The bank `PrimeSystem::new(1, 2, 4, 2048)` builds.
+    let mut bank = BankController::new(2, 4, 2048, 4096);
+    let runner = CommandRunner::compile(&net, &mut bank, &cnn_calibration()).expect("fits");
+    bank.set_read_noise(Some((noise, 0xD1CE)));
+    let (mut scratch, mut out) = (InferScratch::new(), Vec::new());
+    for (i, (input, want)) in inputs.iter().zip(&expected).enumerate() {
+        runner.infer_into(&mut bank, input, &mut scratch, &mut out).unwrap();
+        assert_eq!(&out, want, "input {i}: runner and system noisy paths diverged");
     }
 }

@@ -56,7 +56,7 @@ fn command_stream_length_tracks_the_mapping() {
     let tiles: usize = mapping.layers.iter().map(|l| l.base_mats).sum();
     let mut bank = BankController::new(2, 16, 4096, 4096);
     let input = vec![0.5f32; 784];
-    let mut runner =
+    let runner =
         CommandRunner::compile(&network, &mut bank, &input).expect("MLP-S fits one bank");
     assert_eq!(runner.mats_used(), tiles);
     let before = bank.commands_issued();

@@ -48,12 +48,7 @@ fn check_candidates(target: &Target, json: bool) -> bool {
         let mut clean = 0usize;
         let mut pruned = 0usize;
         for (idx, options) in candidates.iter().enumerate() {
-            let label = format!(
-                "{}[cap={} copies={}]",
-                bench.name(),
-                options.stage_mats_cap,
-                options.max_copies
-            );
+            let label = format!("{}[cap={}]", bench.name(), options.stage_mats_cap);
             let mapping = match map_network(&spec, &target.hw, *options) {
                 Ok(mapping) => mapping,
                 Err(err) => {

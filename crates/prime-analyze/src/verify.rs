@@ -785,7 +785,7 @@ mod tests {
     /// mapping is an analytic utilization model, not a placement, so the
     /// verifier's placement rules apply to the former.
     const DEPLOY_OPTIONS: CompileOptions =
-        CompileOptions { replicate: false, stage_mats_cap: 0, max_copies: 0 };
+        CompileOptions { replicate: false, stage_mats_cap: 0 };
 
     fn default_analyze(bench: MlBench) -> Vec<Diagnostic> {
         let spec = bench.spec();

@@ -133,9 +133,9 @@ struct DeviceRunnerRow {
     ns_per_inference: f64,
     inferences_per_s: f64,
     /// Median wall-clock of one whole inference across every measured
-    /// (rep, input) pair — the in-process reference point for the
-    /// serving bencher's p50 (`BENCH_serve.json`): served p50 minus
-    /// this is the wire + batching overhead.
+    /// (rep, input) pair — the in-process reference point for
+    /// `prime-benchmark`'s served p50: served p50 minus this is the
+    /// wire + batching overhead.
     single_request_ns_p50: f64,
     layers: Vec<DeviceLayerRow>,
     /// Per-phase split of the conv layers (weight-stationary schedule:
@@ -445,7 +445,7 @@ fn measure_device_runner(batch: usize, reps: usize) -> DeviceRunnerRow {
 
     // Nearest-rank median of every measured single-inference total: the
     // latency a one-request batch sees in process, without wire framing
-    // or queueing — the floor the serving bencher's p50 is read against.
+    // or queueing — the floor `prime-benchmark`'s served p50 is read against.
     single_request_ns.sort_by(|a, b| a.total_cmp(b));
     let single_request_ns_p50 =
         single_request_ns.get(single_request_ns.len().saturating_sub(1) / 2).copied().unwrap_or(0.0);
@@ -758,7 +758,7 @@ fn main() {
     }
     println!("{:<28} {:>14.0} {:>6.1}%", "total", device_runner.ns_per_inference, 100.0);
     println!(
-        "single-request p50 (in-process reference for the serving bencher): {:.0} ns",
+        "single-request p50 (in-process reference for prime-benchmark's served p50): {:.0} ns",
         device_runner.single_request_ns_p50
     );
     println!("\nconv phase breakdown (weight-stationary schedule):");

@@ -36,24 +36,19 @@ pub enum NnScale {
 /// What the mapping search optimizes for.
 ///
 /// `Fixed` reproduces the pre-search behavior exactly: no candidate
-/// enumeration, the paper's default placement. The other objectives
-/// enumerate (replication cap × pipeline split) candidates, keep only
-/// those the Pass 1–3 verifiers accept, score each with a
-/// `MappingCostModel` implementation (`prime-core`), and deploy the
-/// argmin. Candidates are ordered fixed-default-first and the argmin
-/// keeps the first of any tie, so a search that finds nothing better
-/// than the default degrades to the `Fixed` placement byte-for-byte.
+/// enumeration, the paper's default placement. `Latency` enumerates
+/// pipeline-split candidates, keeps only those the Pass 1–3 verifiers
+/// accept, scores each with a `MappingCostModel` implementation
+/// (`prime-core`), and deploys the argmin. Candidates are ordered
+/// fixed-default-first and the argmin keeps the first of any tie, so a
+/// search that finds nothing better than the default degrades to the
+/// `Fixed` placement byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Objective {
     /// No search: compile with the paper-default knobs (bit-compat path).
     Fixed,
     /// Minimize the pipeline-interval / per-image latency estimate.
     Latency,
-    /// Minimize placed weight cells (physical crossbar use), breaking
-    /// ties by latency.
-    Memory,
-    /// Minimize normalized latency + normalized placed cells.
-    Balanced,
 }
 
 impl Objective {
@@ -62,8 +57,6 @@ impl Objective {
         match self {
             Objective::Fixed => "fixed",
             Objective::Latency => "latency",
-            Objective::Memory => "memory",
-            Objective::Balanced => "balanced",
         }
     }
 }
@@ -81,15 +74,11 @@ pub struct CompileOptions {
     /// heuristic. A smaller cap splits the network into more, shorter
     /// stages, trading banks for a shorter bottleneck stage.
     pub stage_mats_cap: usize,
-    /// Cap on whole-network copies across the memory's banks. `0` fills
-    /// every bank (the paper's heuristic); a smaller cap leaves the
-    /// remaining banks untouched as plain memory.
-    pub max_copies: usize,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions { replicate: true, stage_mats_cap: 0, max_copies: 0 }
+        CompileOptions { replicate: true, stage_mats_cap: 0 }
     }
 }
 
@@ -170,7 +159,7 @@ pub struct LayoutFootprint {
     /// Composed weight cells holding distinct codes.
     pub unique_cells: u64,
     /// Composed weight cells occupied across every placement: the
-    /// physical crossbar use the `Memory` objective prices.
+    /// physical crossbar use, which host-side aliasing does not shrink.
     pub placed_cells: u64,
 }
 
@@ -374,14 +363,9 @@ pub fn map_network(
     };
     // Banks that cannot host a whole extra copy still contribute their FF
     // mats as replication space, shared evenly among the copies (paper
-    // §IV-B2: spare banks host replicas of large NNs). A copy cap keeps
-    // the spare banks as plain memory instead.
-    let fill_copies = (hw.banks / banks_per_copy).max(1);
-    let (copies, leftover_banks) = if options.max_copies > 0 && options.max_copies < fill_copies {
-        (options.max_copies, 0)
-    } else {
-        (fill_copies, hw.banks - fill_copies * banks_per_copy)
-    };
+    // §IV-B2: spare banks host replicas of large NNs).
+    let copies = (hw.banks / banks_per_copy).max(1);
+    let leftover_banks = hw.banks - copies * banks_per_copy;
     let allocated_mats =
         banks_per_copy * hw.mats_per_bank() + leftover_banks * hw.mats_per_bank() / copies;
     let allocated_cells = allocated_mats as u64 * hw.synapses_per_mat();
@@ -420,9 +404,7 @@ pub fn map_network(
                 available: hw.total_mats(),
             });
         }
-        let fill = (hw.banks / spanned).max(1);
-        let capped = if options.max_copies > 0 { fill.min(options.max_copies) } else { fill };
-        (spanned, capped)
+        (spanned, (hw.banks / spanned).max(1))
     } else {
         (banks_per_copy, copies)
     };
@@ -451,47 +433,30 @@ pub fn map_network(
 }
 
 /// Enumerates the candidate mapping space the search driver scores: the
-/// pipeline-split and replication-factor knobs that make sense for this
-/// network on this target. Every candidate compiles with
-/// `replicate: false` (deploy semantics).
+/// fixed default plus, for large-scale NNs, halved and quartered
+/// pipeline-split caps. Every candidate compiles with `replicate: false`
+/// (deploy semantics).
 ///
 /// The fixed-default candidate (paper knobs) comes first so a
 /// strict-argmin search that finds no strictly better candidate keeps
-/// the bit-compatible placement. Knob values are derived from the base
-/// mapping: pipeline-split caps only for large-scale NNs, copy caps only
-/// when the memory holds more than one copy. The cap dimensions are not
-/// cross-multiplied — the space stays small (≤ 5) and every point
-/// differs from the default in one lever.
+/// the bit-compatible placement. Copy count is not a knob: fewer copies
+/// only ever raise the interval the search minimizes.
 pub fn enumerate_candidates(spec: &NetworkSpec, hw: &HwTarget) -> Vec<CompileOptions> {
-    fn deploy_opts(stage_mats_cap: usize, max_copies: usize) -> CompileOptions {
-        CompileOptions { replicate: false, stage_mats_cap, max_copies }
+    fn deploy_opts(stage_mats_cap: usize) -> CompileOptions {
+        CompileOptions { replicate: false, stage_mats_cap }
     }
-    let mut out = vec![deploy_opts(0, 0)];
-    let Ok(base) = map_network(spec, hw, deploy_opts(0, 0)) else {
-        // An unmappable network leaves only the fixed candidate, which
-        // the search driver will prune with the same compile error the
-        // fixed path reports.
-        return out;
-    };
-    let mpb = hw.mats_per_bank();
-    if base.scale == NnScale::Large {
+    let mut out = vec![deploy_opts(0)];
+    // An unmappable network leaves only the fixed candidate, which the
+    // search driver will prune with the same compile error the fixed
+    // path reports.
+    if map_network(spec, hw, deploy_opts(0)).is_ok_and(|base| base.scale == NnScale::Large) {
+        let mpb = hw.mats_per_bank();
         for cap in [mpb / 2, mpb / 4] {
             if cap >= 1 && cap < mpb {
-                out.push(deploy_opts(cap, 0));
+                out.push(deploy_opts(cap));
             }
         }
     }
-    let fill = base.copies_across_memory;
-    if fill > 1 {
-        for c in [fill / 2, 1] {
-            if c >= 1 && c < fill {
-                out.push(deploy_opts(0, c));
-            }
-        }
-    }
-    // Only the two copy caps can coincide (`fill / 2 == 1`), and they
-    // are adjacent.
-    out.dedup();
     out
 }
 
@@ -737,11 +702,8 @@ mod tests {
     fn stage_cap_splits_the_pipeline_into_more_stages() {
         let spec = MlBench::VggD.spec();
         let base = map_network(&spec, &hw(), CompileOptions { replicate: false, ..CompileOptions::default() }).unwrap();
-        let capped_opts = CompileOptions {
-            replicate: false,
-            stage_mats_cap: hw().mats_per_bank() / 2,
-            ..CompileOptions::default()
-        };
+        let capped_opts =
+            CompileOptions { replicate: false, stage_mats_cap: hw().mats_per_bank() / 2 };
         let capped = map_network(&spec, &hw(), capped_opts).unwrap();
         assert!(
             capped.pipeline.len() > base.pipeline.len(),
@@ -763,38 +725,10 @@ mod tests {
         assert_eq!(capped.banks_per_copy, spanned);
         assert_eq!(capped.copies_across_memory, (hw().banks / spanned).max(1));
         // A zero cap is byte-for-byte the uncapped mapping.
-        let zero = map_network(
-            &spec,
-            &hw(),
-            CompileOptions { replicate: false, stage_mats_cap: 0, ..CompileOptions::default() },
-        )
-        .unwrap();
+        let zero =
+            map_network(&spec, &hw(), CompileOptions { replicate: false, stage_mats_cap: 0 })
+                .unwrap();
         assert_eq!(zero, base);
-    }
-
-    #[test]
-    fn copy_cap_limits_bank_level_parallelism() {
-        let spec = MlBench::MlpS.spec();
-        let base = map_network(&spec, &hw(), CompileOptions::default()).unwrap();
-        assert_eq!(base.copies_across_memory, 64);
-        let capped = map_network(
-            &spec,
-            &hw(),
-            CompileOptions { max_copies: 4, ..CompileOptions::default() },
-        )
-        .unwrap();
-        assert_eq!(capped.copies_across_memory, 4);
-        // Uncommitted banks stay plain memory: only the per-copy span is
-        // allocated, with no leftover-bank replication space.
-        assert_eq!(capped.allocated_mats, capped.banks_per_copy * hw().mats_per_bank());
-        // A cap at or above the fill count changes nothing.
-        let loose = map_network(
-            &spec,
-            &hw(),
-            CompileOptions { max_copies: 64, ..CompileOptions::default() },
-        )
-        .unwrap();
-        assert_eq!(loose, base);
     }
 
     #[test]
@@ -813,7 +747,7 @@ mod tests {
                 assert!(!c.replicate, "{}: candidate {i} replicates", bench.name());
                 assert!(!candidates[..i].contains(c), "{}: duplicate candidate", bench.name());
             }
-            assert!(candidates.len() >= 2 && candidates.len() <= 5);
+            assert!((1..=3).contains(&candidates.len()));
             // Every candidate either maps or reports a typed compile error.
             for c in &candidates {
                 let _ = map_network(&bench.spec(), &hw(), *c);
@@ -823,24 +757,20 @@ mod tests {
 
     #[test]
     fn candidate_space_scales_with_the_network() {
-        // Large-scale VGG-D gets pipeline-split candidates; copy-cap
-        // candidates appear only when the memory holds more than one copy.
+        // Large-scale VGG-D gets pipeline-split candidates.
         let vgg = enumerate_candidates(&MlBench::VggD.spec(), &hw());
         assert!(
             vgg.iter().any(|c| c.stage_mats_cap > 0),
             "large-scale nets must offer pipeline splits: {vgg:?}"
         );
-        // Medium-scale MLP-S gets copy caps but no stage caps.
+        // Medium-scale MLP-S gets only the fixed default.
         let mlp = enumerate_candidates(&MlBench::MlpS.spec(), &hw());
-        assert!(mlp.iter().all(|c| c.stage_mats_cap == 0));
-        assert!(mlp.iter().any(|c| c.max_copies > 0));
+        assert_eq!(mlp, vec![CompileOptions { replicate: false, ..CompileOptions::default() }]);
     }
 
     #[test]
     fn objective_names_are_stable() {
         assert_eq!(Objective::Fixed.name(), "fixed");
         assert_eq!(Objective::Latency.name(), "latency");
-        assert_eq!(Objective::Memory.name(), "memory");
-        assert_eq!(Objective::Balanced.name(), "balanced");
     }
 }

@@ -54,12 +54,6 @@ pub enum PrimeError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A shared system lock was poisoned: some thread panicked while
-    /// holding exclusive access, so the system may have been left
-    /// mid-operation. The model must be treated as unservable until it
-    /// is redeployed; requests must not silently run against the
-    /// possibly half-written state.
-    Poisoned,
 }
 
 impl fmt::Display for PrimeError {
@@ -93,11 +87,6 @@ impl fmt::Display for PrimeError {
                 Ok(())
             }
             PrimeError::Internal { reason } => write!(f, "internal invariant broke: {reason}"),
-            PrimeError::Poisoned => write!(
-                f,
-                "system lock poisoned by a thread that panicked mid-operation; \
-                 redeploy before serving"
-            ),
         }
     }
 }

@@ -49,7 +49,6 @@ mod ff_mat;
 mod insitu;
 mod runner;
 mod search;
-mod service;
 mod system;
 
 pub use buffer::BufferSubarray;
@@ -62,5 +61,4 @@ pub use search::{
     search_mapping, CandidateCost, CandidateReport, CandidateVerdict, MappingCostModel,
     MappingSearch,
 };
-pub use service::SystemHandle;
 pub use system::{DeployStats, PrimeSystem, SystemStats};

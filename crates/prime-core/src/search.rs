@@ -2,11 +2,12 @@
 //!
 //! PRIME §IV fixes its replication/split/pipeline choices by heuristic;
 //! this module replaces that with a small search. The compiler
-//! enumerates (replication factor × pipeline split) candidates ([`prime_compiler::enumerate_candidates`]); each candidate
-//! is compiled, statically verified (Pass 1 deployment invariants and —
+//! enumerates pipeline-split candidates
+//! ([`prime_compiler::enumerate_candidates`]); each candidate is
+//! compiled, statically verified (Pass 1 deployment invariants and —
 //! where an in-memory lowering exists — the Pass 3 abstract
-//! interpreter), and scored by a [`MappingCostModel`]; the argmin under
-//! the requested [`Objective`] wins. Illegal candidates are *pruned*,
+//! interpreter), and scored by a [`MappingCostModel`]; the
+//! `(interval, image)` argmin wins. Illegal candidates are *pruned*,
 //! never errors: the search degrades to whatever subset the verifiers
 //! accept, and deployment fails only when nothing survives.
 //!
@@ -14,7 +15,7 @@
 //! points the other way: `prime-sim` depends on `prime-core` and
 //! provides the reference implementation (`SimCostModel`) on top of its
 //! analytical machine. Candidates are enumerated fixed-default-first and
-//! every selection rule breaks ties by keeping the earlier candidate, so
+//! the argmin breaks ties by keeping the earlier candidate, so
 //! a search that finds nothing strictly better keeps the bit-compatible
 //! default placement.
 
@@ -32,7 +33,7 @@ pub struct CandidateCost {
     /// Single-image latency estimate (ns).
     pub image_ns: f64,
     /// Steady-state per-image interval at an amortizing batch (ns): the
-    /// throughput-side cost a pipeline split or copy cap trades against.
+    /// throughput-side cost a pipeline split trades against.
     pub interval_ns: f64,
     /// Per-image energy estimate (pJ).
     pub energy_pj: f64,
@@ -87,10 +88,7 @@ pub struct CandidateReport {
 impl CandidateReport {
     /// One-line rendering for registration logs and bench reports.
     pub fn describe(&self) -> String {
-        let knobs = format!(
-            "cap={} max_copies={}",
-            self.options.stage_mats_cap, self.options.max_copies
-        );
+        let knobs = format!("cap={}", self.options.stage_mats_cap);
         let shape = format!(
             "stages={} copies={} placed_cells={}",
             self.stages, self.copies, self.placed_cells
@@ -192,39 +190,12 @@ fn verify_candidate(
     Ok(mapping)
 }
 
-/// Is candidate `a` strictly better than `b` under `objective`?
-/// (`min_*` are the survivor minima, for `Balanced` normalization.)
-fn strictly_better(
-    objective: Objective,
-    a: (&CandidateReport, CandidateCost),
-    b: (&CandidateReport, CandidateCost),
-    min_interval: f64,
-    min_cells: f64,
-) -> bool {
-    match objective {
-        // `Fixed` never reaches the search, but the total match keeps
-        // the selection rule defined for every objective: fall back to
-        // latency ordering.
-        Objective::Latency | Objective::Fixed => {
-            (a.1.interval_ns, a.1.image_ns) < (b.1.interval_ns, b.1.image_ns)
-        }
-        Objective::Memory => {
-            a.0.placed_cells < b.0.placed_cells
-                || (a.0.placed_cells == b.0.placed_cells && a.1.interval_ns < b.1.interval_ns)
-        }
-        Objective::Balanced => {
-            let score = |r: &CandidateReport, c: CandidateCost| {
-                c.interval_ns / min_interval + r.placed_cells as f64 / min_cells
-            };
-            score(a.0, a.1) < score(b.0, b.1)
-        }
-    }
-}
-
 /// Runs the mapping search: enumerate, verify, score, argmin.
 ///
-/// Every candidate that compiles and passes the static verifiers is
-/// scored with `model`; the best under `objective` is marked
+/// [`Objective::Fixed`] scores only the default candidate;
+/// [`Objective::Latency`] scores every enumerated one. Every candidate
+/// that compiles and passes the static verifiers is scored with
+/// `model`; the lowest `(interval_ns, image_ns)` is marked
 /// [`CandidateVerdict::Chosen`] (ties keep the earliest candidate, i.e.
 /// the fixed default when it is involved). A search where nothing
 /// survives returns a report whose [`MappingSearch::chosen`] is `None`;
@@ -240,74 +211,42 @@ pub fn search_mapping(
             replicate: false,
             ..CompileOptions::default()
         }],
-        _ => enumerate_candidates(spec, &target.hw),
+        Objective::Latency => enumerate_candidates(spec, &target.hw),
     };
-    let mut candidates: Vec<CandidateReport> = Vec::with_capacity(options_list.len());
-    let mut costs: Vec<Option<CandidateCost>> = Vec::with_capacity(options_list.len());
-    for options in options_list {
-        match verify_candidate(spec, target, options) {
-            Ok(mapping) => {
-                let cost = model.score(spec, &target.hw, &mapping);
-                candidates.push(CandidateReport {
-                    options,
-                    stages: mapping.pipeline.len().max(1),
-                    copies: mapping.copies_across_memory,
-                    placed_cells: mapping.footprint().placed_cells,
-                    allocated_mats: mapping.allocated_mats,
-                    cost: Some(cost),
-                    verdict: CandidateVerdict::Beaten,
-                });
-                costs.push(Some(cost));
-            }
-            Err(reason) => {
-                candidates.push(CandidateReport {
-                    options,
-                    stages: 0,
-                    copies: 0,
-                    placed_cells: 0,
-                    allocated_mats: 0,
-                    cost: None,
-                    verdict: CandidateVerdict::Pruned { reason },
-                });
-                costs.push(None);
-            }
-        }
-    }
-    // Survivor minima for the Balanced normalization (guarded away from
-    // zero so the ratios stay finite).
-    let mut min_interval = f64::INFINITY;
-    let mut min_cells = f64::INFINITY;
-    for (candidate, cost) in candidates.iter().zip(&costs) {
-        if let Some(cost) = cost {
-            min_interval = min_interval.min(cost.interval_ns);
-            min_cells = min_cells.min(candidate.placed_cells as f64);
-        }
-    }
-    let min_interval = min_interval.max(f64::MIN_POSITIVE);
-    let min_cells = min_cells.max(1.0);
+    let mut candidates: Vec<CandidateReport> = options_list
+        .into_iter()
+        .map(|options| match verify_candidate(spec, target, options) {
+            Ok(mapping) => CandidateReport {
+                options,
+                stages: mapping.pipeline.len().max(1),
+                copies: mapping.copies_across_memory,
+                placed_cells: mapping.footprint().placed_cells,
+                allocated_mats: mapping.allocated_mats,
+                cost: Some(model.score(spec, &target.hw, &mapping)),
+                verdict: CandidateVerdict::Beaten,
+            },
+            Err(reason) => CandidateReport {
+                options,
+                stages: 0,
+                copies: 0,
+                placed_cells: 0,
+                allocated_mats: 0,
+                cost: None,
+                verdict: CandidateVerdict::Pruned { reason },
+            },
+        })
+        .collect();
     // First-wins argmin: a later candidate must be *strictly* better to
     // displace the incumbent, so ties keep the fixed default placement.
-    let mut best: Option<usize> = None;
-    for (idx, cost) in costs.iter().enumerate() {
-        let Some(cost) = cost else { continue };
-        best = match best {
-            None => Some(idx),
-            Some(incumbent) => {
-                let displaced = match costs[incumbent] {
-                    Some(inc_cost) => strictly_better(
-                        objective,
-                        (&candidates[idx], *cost),
-                        (&candidates[incumbent], inc_cost),
-                        min_interval,
-                        min_cells,
-                    ),
-                    None => true,
-                };
-                Some(if displaced { idx } else { incumbent })
-            }
-        };
+    let mut best: Option<(usize, (f64, f64))> = None;
+    for (idx, candidate) in candidates.iter().enumerate() {
+        let Some(cost) = candidate.cost else { continue };
+        let key = (cost.interval_ns, cost.image_ns);
+        if best.is_none_or(|(_, incumbent)| key < incumbent) {
+            best = Some((idx, key));
+        }
     }
-    if let Some(idx) = best {
+    if let Some((idx, _)) = best {
         candidates[idx].verdict = CandidateVerdict::Chosen;
     }
     MappingSearch { objective, candidates }
@@ -320,8 +259,8 @@ mod tests {
     use prime_nn::MlBench;
 
     /// A deterministic toy model: interval favors more copies, image
-    /// favors fewer stages — enough structure to exercise every
-    /// objective without dragging prime-sim into the dependency graph.
+    /// favors fewer stages — enough structure to exercise the argmin
+    /// without dragging prime-sim into the dependency graph.
     struct ToyModel;
 
     impl MappingCostModel for ToyModel {
@@ -362,42 +301,20 @@ mod tests {
     }
 
     #[test]
-    fn memory_search_prices_physical_cells() {
-        let target = Target::prime_default();
-        let spec = MlBench::Cnn1.spec();
-        let search = search_mapping(&spec, &target, Objective::Memory, &ToyModel);
-        let chosen = search.chosen().expect("a candidate survives");
-        // Every bank owns its cells whatever the host-side aliasing, so
-        // the fewest copies occupy the fewest cells.
-        assert_eq!(chosen.options.max_copies, 1, "{}", search.describe());
-        for other in search.rejected() {
-            if other.cost.is_some() {
-                assert!(
-                    chosen.placed_cells < other.placed_cells,
-                    "{}",
-                    search.describe()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn every_candidate_gets_a_verdict_and_exactly_one_wins() {
         let target = Target::prime_default();
         for bench in MlBench::ALL {
-            for objective in [Objective::Latency, Objective::Memory, Objective::Balanced] {
-                let search = search_mapping(&bench.spec(), &target, objective, &ToyModel);
-                let chosen = search
-                    .candidates
-                    .iter()
-                    .filter(|c| c.verdict == CandidateVerdict::Chosen)
-                    .count();
-                assert_eq!(chosen, 1, "{} {}: {}", bench.name(), objective.name(), search.describe());
-                for c in &search.candidates {
-                    match &c.verdict {
-                        CandidateVerdict::Pruned { .. } => assert!(c.cost.is_none()),
-                        _ => assert!(c.cost.is_some()),
-                    }
+            let search = search_mapping(&bench.spec(), &target, Objective::Latency, &ToyModel);
+            let chosen = search
+                .candidates
+                .iter()
+                .filter(|c| c.verdict == CandidateVerdict::Chosen)
+                .count();
+            assert_eq!(chosen, 1, "{}: {}", bench.name(), search.describe());
+            for c in &search.candidates {
+                match &c.verdict {
+                    CandidateVerdict::Pruned { .. } => assert!(c.cost.is_none()),
+                    _ => assert!(c.cost.is_some()),
                 }
             }
         }
@@ -417,9 +334,9 @@ mod tests {
     #[test]
     fn search_reports_render_for_logs() {
         let target = Target::prime_default();
-        let search = search_mapping(&MlBench::MlpM.spec(), &target, Objective::Balanced, &ToyModel);
+        let search = search_mapping(&MlBench::MlpM.spec(), &target, Objective::Latency, &ToyModel);
         let text = search.describe();
-        assert!(text.contains("objective=balanced"));
+        assert!(text.contains("objective=latency"));
         assert!(text.contains("CHOSEN"));
     }
 }

@@ -272,9 +272,9 @@ impl PrimeSystem {
     }
 
     /// [`deploy`](Self::deploy) with cost-model-driven mapping search:
-    /// enumerates (replication factor × pipeline split) candidates,
-    /// keeps those the Pass 1–3 verifiers accept, scores each with
-    /// `model`, and deploys the argmin under `objective`.
+    /// enumerates pipeline-split candidates, keeps those the Pass 1–3
+    /// verifiers accept, scores each with `model`, and deploys the
+    /// latency argmin.
     /// Illegal candidates are pruned, not errors. The full search report
     /// — chosen candidate plus rejected alternatives — lands in
     /// [`DeployStats::search`].

@@ -59,9 +59,9 @@ pub struct Crossbar {
     levels: Vec<u16>,
     /// Actual programmed conductance of each cell, row-major. `None` means
     /// every cell sits at its *nominal* conductance (derived from its level
-    /// on demand); the vector is only materialized when something perturbs
-    /// conductances away from nominal (noisy programming, retention drift),
-    /// so an ideally-programmed array stores levels only.
+    /// on demand); the vector is only materialized when noisy programming
+    /// perturbs conductances away from nominal, so an ideally-programmed
+    /// array stores levels only.
     conductances: Option<Vec<f64>>,
     /// Total cell writes performed, for wear accounting.
     writes: u64,
@@ -121,18 +121,10 @@ impl Crossbar {
     }
 
     /// Whether the analog conductance shadow is materialized (it only is
-    /// after noisy programming or retention drift perturbed cells away from
-    /// their nominal conductances).
+    /// after noisy programming perturbed cells away from their nominal
+    /// conductances).
     pub fn conductances_materialized(&self) -> bool {
         self.conductances.is_some()
-    }
-
-    /// Materializes the conductance shadow at nominal values.
-    fn materialize_conductances(&mut self) -> &mut Vec<f64> {
-        let spec = self.spec;
-        let levels = &self.levels;
-        self.conductances
-            .get_or_insert_with(|| levels.iter().map(|&l| spec.conductance(l)).collect())
     }
 
     fn index(&self, row: usize, col: usize) -> Result<usize, DeviceError> {
@@ -252,14 +244,6 @@ impl Crossbar {
         }
         self.writes += levels.len() as u64;
         Ok(())
-    }
-
-    /// Scales every programmed conductance by `factor` (retention drift;
-    /// the nominal digital levels are unaffected).
-    pub fn scale_conductances(&mut self, factor: f64) {
-        for g in self.materialize_conductances() {
-            *g *= factor;
-        }
     }
 
     /// Re-programs every cell to its nominal level through a noisy write,

@@ -62,7 +62,6 @@ mod error;
 mod ir_drop;
 mod mlc;
 mod noise;
-mod retention;
 mod timing;
 
 pub use cell::{ReramCell, DEFAULT_ENDURANCE_WRITES, RESET_VOLTAGE_V, SET_VOLTAGE_V};
@@ -72,5 +71,4 @@ pub use error::DeviceError;
 pub use ir_drop::IrDropModel;
 pub use mlc::{MlcSpec, DEFAULT_R_OFF_OHM, DEFAULT_R_ON_OHM};
 pub use noise::NoiseModel;
-pub use retention::RetentionModel;
 pub use timing::DeviceTiming;

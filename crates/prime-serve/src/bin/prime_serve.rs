@@ -2,9 +2,9 @@
 //!
 //! Deploys the standard MLP-M-class and CNN-1-class registry and serves
 //! the length-prefixed binary protocol until SIGINT kills the process
-//! (the library's graceful drain is exercised in-process by the
-//! `prime-bencher` bin and the loopback integration test; a bare
-//! foreground server has nothing to drain into).
+//! (the library's graceful drain is exercised in-process by
+//! `prime-benchmark`'s served workloads and the loopback integration
+//! test; a bare foreground server has nothing to drain into).
 //!
 //! ```text
 //! prime-serve [--addr 127.0.0.1:7741] [--max-batch 8] [--max-delay-us 1000]

@@ -17,12 +17,15 @@
 //!   unit-testable without wall-clock sleeps.
 //! * [`server`] — [`Registry`] (deploy-at-registration; rejected models
 //!   surface P031 and are never advertised), [`Server`] (accept loop +
-//!   per-connection readers + per-model dispatchers, all scoped), and
-//!   [`ShutdownHandle`] (graceful drain).
-//! * [`client`] — a minimal blocking [`Client`] for tests and the
-//!   `prime-bencher` load driver.
+//!   per-connection readers + per-model dispatchers, all scoped; each
+//!   dispatcher owns its model's system), and [`ShutdownHandle`]
+//!   (graceful drain).
+//! * [`client`] — a minimal blocking [`Client`] for tests and tools.
+//!   The load driver is `prime-benchmark`, whose served workloads run
+//!   this server open loop.
 //! * [`workloads`] — the standard MLP-M-class / CNN-1-class registry
-//!   shared by the bins, matching `bench_throughput`'s geometry.
+//!   shared by the `prime-serve` bin and `prime-benchmark`, matching
+//!   `bench_throughput`'s geometry.
 //!
 //! Served outputs are bit-identical to direct [`prime_core::PrimeSystem`]
 //! calls: digital requests may share an `infer_batch` call (replicated

@@ -7,9 +7,13 @@
 //! * one **accept loop** (the calling thread) taking connections;
 //! * one **reader** thread per connection, decoding frames and pushing
 //!   jobs into the owning model's [`BatchCollector`];
-//! * one **dispatcher** thread per model, flushing the collector on the
-//!   size/deadline triggers and writing responses back through each
-//!   job's captured write half.
+//! * one **dispatcher** thread per model, owning that model's
+//!   [`PrimeSystem`], flushing the collector on the size/deadline
+//!   triggers and writing responses back through each job's captured
+//!   write half.
+//!
+//! A system is reachable only from the dispatcher that owns it, so
+//! exclusive access is enforced by ownership and no lock guards it.
 //!
 //! Batching preserves bit-identity with direct [`PrimeSystem`] calls:
 //! digital jobs in a flush are coalesced into one `infer_batch` call
@@ -33,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use prime_analyze::unservable_model;
 use prime_compiler::Objective;
-use prime_core::{PrimeError, PrimeSystem, SystemHandle};
+use prime_core::{PrimeError, PrimeSystem};
 use prime_device::NoiseModel;
 use prime_nn::Network;
 use prime_sim::SimCostModel;
@@ -50,33 +54,26 @@ const READ_POLL: Duration = Duration::from_millis(25);
 /// How long an idle dispatcher waits before re-checking the flag.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
 
-/// Queue/stream mutexes only: these guard plain data (a job queue, a
-/// write half) that stays consistent even if a holder panicked, so
-/// absorbing poison is safe. The *system* lock is different — a crash
-/// mid-inference can leave device state half-written — and is guarded by
-/// [`SystemHandle`], which surfaces [`PrimeError::Poisoned`] instead.
+/// The server's mutexes guard plain data (a job queue, a write half)
+/// that stays consistent even if a holder panicked, so absorbing poison
+/// is safe. No mutex guards a [`PrimeSystem`]: its dispatcher owns it.
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A model registered for serving: a deployed system plus its batching
-/// policy and (for noisy-mode requests) the analog noise model.
+/// The shared side of a registered model: its batching queue, the
+/// analog noise model for noisy-mode requests, and its counters. The
+/// deployed system itself is owned by the model's dispatcher.
 struct ModelRuntime {
     name: String,
     width: usize,
     noise: NoiseModel,
-    handle: SystemHandle,
     queue: Mutex<BatchCollector<ServeJob>>,
     wake: Condvar,
     served: AtomicU64,
     shed: AtomicU64,
     failed: AtomicU64,
     batches: AtomicU64,
-    /// Latched when the system lock reports [`PrimeError::Poisoned`]: a
-    /// thread crashed mid-inference, so the deployed state cannot be
-    /// trusted. Admission answers a typed error from then on instead of
-    /// queueing work against the broken model.
-    unservable: AtomicBool,
 }
 
 /// The set of models a [`Server`] exposes. Deployment happens at
@@ -84,7 +81,8 @@ struct ModelRuntime {
 /// verifier rejected.
 #[derive(Default)]
 pub struct Registry {
-    models: Vec<ModelRuntime>,
+    /// Each model's shared runtime and its deployed system.
+    models: Vec<(ModelRuntime, PrimeSystem)>,
     log: Vec<String>,
 }
 
@@ -95,13 +93,15 @@ impl Registry {
     }
 
     /// Deploys `net` onto `system` under a cost-model-driven mapping
-    /// search and registers the result under `name`.
+    /// search and registers the result under `name`. The registry keeps
+    /// the deployed system until [`Server::run`] hands it to the model's
+    /// dispatcher.
     ///
     /// `objective` selects the mapping: [`Objective::Fixed`] deploys the
     /// paper-default mapping exactly as the pre-search path did, while
-    /// `Latency`/`Memory`/`Balanced` enumerate candidate mappings, prune
-    /// those the static verifiers reject, score the rest with the
-    /// simulator-backed cost model, and deploy the argmin. The full
+    /// [`Objective::Latency`] enumerates candidate mappings, prunes
+    /// those the static verifiers reject, scores the rest with the
+    /// simulator-backed cost model, and deploys the argmin. The full
     /// search report — chosen candidate and rejected alternatives —
     /// lands in [`Registry::registration_log`].
     ///
@@ -123,7 +123,7 @@ impl Registry {
         noise: NoiseModel,
         objective: Objective,
     ) -> Result<(), ServeError> {
-        if self.models.iter().any(|m| m.name == name) {
+        if self.models.iter().any(|(m, _)| m.name == name) {
             return Err(ServeError::DuplicateModel { model: name.to_string() });
         }
         match system.deploy_auto(net, calibration, objective, &SimCostModel) {
@@ -144,25 +144,24 @@ impl Registry {
             Some(search) => format!("registered `{name}`: {}", search.describe()),
             None => format!("registered `{name}`: fixed mapping"),
         });
-        self.models.push(ModelRuntime {
+        let runtime = ModelRuntime {
             name: name.to_string(),
             width: net.inputs(),
             noise,
-            handle: SystemHandle::new(system),
             queue: Mutex::new(BatchCollector::new(batch)),
             wake: Condvar::new(),
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            unservable: AtomicBool::new(false),
-        });
+        };
+        self.models.push((runtime, system));
         Ok(())
     }
 
     /// Names of the registered models, in registration order.
     pub fn model_names(&self) -> Vec<String> {
-        self.models.iter().map(|m| m.name.clone()).collect()
+        self.models.iter().map(|(m, _)| m.name.clone()).collect()
     }
 
     /// One entry per successful [`Registry::register`] call: the mapping
@@ -272,13 +271,15 @@ impl Server {
     /// and per-request errors are answered on the wire instead.
     pub fn run(self) -> Result<ServeStats, ServeError> {
         let Server { listener, registry, flag } = self;
-        let models = &registry.models[..];
+        let (models, systems): (Vec<ModelRuntime>, Vec<PrimeSystem>) =
+            registry.models.into_iter().unzip();
+        let models = &models[..];
         let flag = &*flag;
         let epoch = Instant::now();
         let connections = AtomicU64::new(0);
         let accept_error = std::thread::scope(|scope| {
-            for model in models {
-                scope.spawn(move || dispatcher(model, flag, epoch));
+            for (model, system) in models.iter().zip(systems) {
+                scope.spawn(move || dispatcher(model, system, flag, epoch));
             }
             let mut accept_error = None;
             loop {
@@ -373,12 +374,13 @@ impl Reply {
 }
 
 /// Per-model dispatch loop: flush on size/deadline, drain on shutdown.
-fn dispatcher(model: &ModelRuntime, flag: &AtomicBool, epoch: Instant) {
+/// The loop owns the model's system for the server's lifetime.
+fn dispatcher(model: &ModelRuntime, mut system: PrimeSystem, flag: &AtomicBool, epoch: Instant) {
     let mut guard = lock(&model.queue);
     loop {
         if let Some(jobs) = guard.poll(epoch.elapsed()) {
             drop(guard);
-            execute_batch(model, jobs);
+            execute_batch(model, &mut system, jobs);
             guard = lock(&model.queue);
             continue;
         }
@@ -388,7 +390,7 @@ fn dispatcher(model: &ModelRuntime, flag: &AtomicBool, epoch: Instant) {
             }
             let jobs = guard.take_batch();
             drop(guard);
-            execute_batch(model, jobs);
+            execute_batch(model, &mut system, jobs);
             guard = lock(&model.queue);
             continue;
         }
@@ -409,71 +411,52 @@ fn dispatcher(model: &ModelRuntime, flag: &AtomicBool, epoch: Instant) {
 /// Runs one flushed batch. Digital jobs coalesce into a single
 /// `infer_batch`; noisy jobs run one at a time to keep per-bank RNG
 /// draw order — and therefore outputs — bit-identical to direct calls.
-fn execute_batch(model: &ModelRuntime, jobs: Vec<ServeJob>) {
+fn execute_batch(model: &ModelRuntime, system: &mut PrimeSystem, jobs: Vec<ServeJob>) {
     let mut digital: Vec<ServeJob> = Vec::new();
-    let mut noisy: Vec<ServeJob> = Vec::new();
+    let mut noisy: Vec<(ServeJob, u64)> = Vec::new();
     for job in jobs {
         match job.mode {
             Mode::Digital => digital.push(job),
-            Mode::Noisy { .. } => noisy.push(job),
+            Mode::Noisy { seed } => noisy.push((job, seed)),
         }
     }
     if !digital.is_empty() {
-        model.batches.fetch_add(1, Ordering::Relaxed);
         let inputs: Vec<Vec<f32>> =
             digital.iter_mut().map(|j| std::mem::take(&mut j.input)).collect();
-        match model.handle.infer_batch(&inputs) {
-            Ok(outputs) => {
-                for (job, values) in digital.iter().zip(outputs) {
-                    job.reply.send(&Response::Output { id: job.id, values });
-                    model.served.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) => {
-                if matches!(e, PrimeError::Poisoned) {
-                    model.unservable.store(true, Ordering::SeqCst);
-                }
-                let message = format!("inference failed: {e}");
-                for job in &digital {
-                    job.reply
-                        .send(&Response::Error { id: job.id, message: message.clone() });
-                    model.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        answer(model, &digital, system.infer_batch(&inputs));
     }
-    for mut job in noisy {
-        let Mode::Noisy { seed } = job.mode else { continue };
-        model.batches.fetch_add(1, Ordering::Relaxed);
-        let input = std::mem::take(&mut job.input);
-        match model
-            .handle
-            .infer_batch_noisy(std::slice::from_ref(&input), &model.noise, seed)
-        {
-            Ok(outputs) => match outputs.into_iter().next() {
-                Some(values) => {
-                    job.reply.send(&Response::Output { id: job.id, values });
-                    model.served.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    job.reply.send(&Response::Error {
-                        id: job.id,
-                        message: "inference returned no output".to_string(),
-                    });
-                    model.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            Err(e) => {
-                if matches!(e, PrimeError::Poisoned) {
-                    model.unservable.store(true, Ordering::SeqCst);
-                }
-                job.reply.send(&Response::Error {
-                    id: job.id,
-                    message: format!("inference failed: {e}"),
-                });
-                model.failed.fetch_add(1, Ordering::Relaxed);
+    for (job, seed) in noisy {
+        let input = std::slice::from_ref(&job.input);
+        let outputs = system.infer_batch_noisy(input, &model.noise, seed);
+        answer(model, std::slice::from_ref(&job), outputs);
+    }
+}
+
+/// Replies to `jobs` from one device call's `result`, in order, and
+/// counts the call and each outcome. A job the call returned no output
+/// for is answered with a typed error, never left waiting.
+fn answer(model: &ModelRuntime, jobs: &[ServeJob], result: Result<Vec<Vec<f32>>, PrimeError>) {
+    model.batches.fetch_add(1, Ordering::Relaxed);
+    let (mut outputs, error) = match result {
+        Ok(outputs) => (outputs.into_iter(), None),
+        Err(e) => (Vec::new().into_iter(), Some(e)),
+    };
+    for job in jobs {
+        let response = match outputs.next() {
+            Some(values) => {
+                model.served.fetch_add(1, Ordering::Relaxed);
+                Response::Output { id: job.id, values }
             }
-        }
+            None => {
+                model.failed.fetch_add(1, Ordering::Relaxed);
+                let message = match &error {
+                    Some(e) => format!("inference failed: {e}"),
+                    None => "inference returned no output".to_string(),
+                };
+                Response::Error { id: job.id, message }
+            }
+        };
+        job.reply.send(&response);
     }
 }
 
@@ -568,16 +551,6 @@ fn admit(request: Request, models: &[ModelRuntime], reply: &Reply, epoch: Instan
         });
         return;
     };
-    if runtime.unservable.load(Ordering::SeqCst) {
-        reply.send(&Response::Error {
-            id,
-            message: format!(
-                "model `{model}` is unservable: a thread crashed mid-operation and \
-                 poisoned the system; redeploy before serving"
-            ),
-        });
-        return;
-    }
     if input.len() != runtime.width {
         reply.send(&Response::Error {
             id,

@@ -106,33 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn capping_copies_raises_the_interval() {
-        let target = Target::prime_default();
-        let spec = MlBench::MlpM.spec();
-        let full = map_network(
-            &spec,
-            &target.hw,
-            CompileOptions { replicate: false, ..CompileOptions::default() },
-        )
-        .expect("fits");
-        let capped = map_network(
-            &spec,
-            &target.hw,
-            CompileOptions { replicate: false, max_copies: 1, ..CompileOptions::default() },
-        )
-        .expect("fits");
-        assert!(full.copies_across_memory > capped.copies_across_memory);
-        let full_cost = SimCostModel.score(&spec, &target.hw, &full);
-        let capped_cost = SimCostModel.score(&spec, &target.hw, &capped);
-        assert!(
-            full_cost.interval_ns < capped_cost.interval_ns,
-            "full copies {} vs capped {}",
-            full_cost.interval_ns,
-            capped_cost.interval_ns
-        );
-    }
-
-    #[test]
     fn searched_latency_never_loses_to_the_fixed_default() {
         let target = Target::prime_default();
         for bench in MlBench::ALL {

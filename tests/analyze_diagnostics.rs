@@ -22,7 +22,7 @@ use rand::SeedableRng;
 /// `PrimeSystem::deploy` maps without replication (replicas would be an
 /// analytic utilization model, not a physical placement).
 const DEPLOY_OPTIONS: CompileOptions =
-    CompileOptions { replicate: false, stage_mats_cap: 0, max_copies: 0 };
+    CompileOptions { replicate: false, stage_mats_cap: 0 };
 
 fn error_codes(diags: &[prime::analyze::Diagnostic]) -> Vec<Code> {
     diags

@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 /// `PrimeSystem::deploy` maps without replication.
 const DEPLOY_OPTIONS: CompileOptions =
-    CompileOptions { replicate: false, stage_mats_cap: 0, max_copies: 0 };
+    CompileOptions { replicate: false, stage_mats_cap: 0 };
 
 /// A workload, its mapping, and its legal statically lowered plan — the
 /// base every corruption fixture starts from.

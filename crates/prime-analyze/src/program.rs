@@ -41,8 +41,9 @@ use crate::diag::{sort_diagnostics, Code, Diagnostic, Span};
 use crate::intervals::{static_shift, Interval};
 use crate::verify::{conv_staging, Target, WINDOW_IO_CHUNK_WORDS};
 
-/// What one planned layer computes per crossbar evaluation — the
-/// analysis mirror of the runner's private `PlannedOp`.
+/// What one planned layer computes per crossbar evaluation. The
+/// runner plans with this type too, so an exported plan carries the
+/// runner's own ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgramOp {
     /// Fully-connected: one evaluation over the whole input vector.
@@ -89,9 +90,9 @@ pub enum ProgramOp {
 
 impl ProgramOp {
     /// Words of FF buffer the op's input staging region occupies — the
-    /// same accounting as the runner's `PlannedLayer::staging`: the full
-    /// input vector for FC, the row ring plus window chunk for a
-    /// resident conv, one im2col / pooling window otherwise.
+    /// accounting the runner lays out its buffer by: the full input
+    /// vector for FC, the row ring plus window chunk for a resident conv,
+    /// one im2col / pooling window otherwise.
     pub fn staging_words(&self, inputs: usize) -> usize {
         match *self {
             ProgramOp::Fc => inputs,
@@ -182,13 +183,17 @@ pub struct ProgramPlan {
 }
 
 /// Statically lowers `(spec, mapping)` into the [`ProgramPlan`] the
-/// runner would compile, without programming a single mat: stage spans
-/// and buffer addressing mirror `CommandRunner::compile_pipeline`
-/// exactly (the cursor arithmetic depends only on shapes), and
-/// requantization shifts are derived from the interval analysis's own
-/// worst-case bounds instead of a calibration pass. Bias magnitudes are
-/// modeled at the dot-span bound (§III-D assumes bias never dominates
-/// the dot product).
+/// runner would compile, without programming a single mat: ops, stage
+/// spans and buffer addressing mirror `CommandRunner::compile_pipeline`
+/// exactly (the cursor arithmetic depends only on shapes; the workspace
+/// test `lowered_plans_mirror_the_compiled_runner` compares the two),
+/// and requantization shifts are derived from the interval analysis's
+/// own worst-case bounds instead of a calibration pass. Bias magnitudes
+/// are modeled at the dot-span bound (§III-D assumes bias never
+/// dominates the dot product). Tile counts follow the mapping, which
+/// charges each weight layer a bias row the runner does not program, so
+/// a layer whose rows exactly fill its mats lowers to one more row of
+/// tiles than the runner places.
 ///
 /// # Errors
 ///

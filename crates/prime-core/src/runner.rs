@@ -5,24 +5,31 @@
 //! weights, SA windows, and buffer addresses), programmed into a
 //! [`BankController`]'s mats, and then
 //! every inference is driven purely by Table I commands — `load` staging
-//! inputs from the Buffer subarray into mat latches, mat computation,
-//! `store` returning outputs — with row-tile merging on the
-//! precision-control adder and integer requantization between layers,
-//! exactly the dataflow of paper Fig. 5(a).
+//! inputs from the Buffer subarray into mat latches, then mat
+//! computation — with row-tile merging on the precision-control adder
+//! and integer requantization between layers, exactly the dataflow of
+//! paper Fig. 5(a). Requantized codes go back to the Buffer subarray as
+//! the next layer's staged input; the final layer's merged sums are
+//! rescaled to real outputs.
 //!
 //! Three layer kinds execute on the device:
 //!
 //! * **Fully-connected** — one crossbar evaluation per inference, the
 //!   original FC datapath.
 //! * **Convolution** — the kernel matrix (`in_ch * k * k` rows, one
-//!   composed column pair per output map) is programmed once; each
-//!   output pixel stages its im2col window through the FF buffer and
-//!   runs one crossbar evaluation, zero padding entering as code 0 on
-//!   the unsigned input drivers.
+//!   composed column pair per output map) is programmed once; output
+//!   pixels gather their im2col windows into chunks staged through the
+//!   FF buffer and run one crossbar evaluation each, zero padding
+//!   entering as code 0 on the unsigned input drivers.
 //! * **Pooling** — no mats: max pooling reduces the staged window with
 //!   repeated 4:1 winner-code steps on the [`MaxPoolUnit`] (Fig. 4 C),
 //!   and mean pooling is the 1/n-weight dot product of the column-mux
 //!   units, `level * sum(codes)` with the quantized reciprocal level.
+//!
+//! One layer step evaluates every layer, at inference and at deploy
+//! time alike: calibration runs it on the representative input to fix
+//! each layer's requantization shift (§III-D dynamic fixed point), so a
+//! layer is calibrated on exactly the sums it later produces.
 //!
 //! Activations run on PRIME's output units after the row-tile merge, so
 //! split partial sums are never activated separately: the sign-bit ReLU
@@ -53,8 +60,7 @@
 //! analog voltage/conductance domain and draws from its own seeded
 //! stream; otherwise tiles evaluate digitally and exactly.
 
-use serde::{Deserialize, Serialize};
-
+use prime_analyze::{ProgramOp, ProgramStage};
 use prime_circuits::{
     mean_pool_weights, ComposingScheme, MaxPoolUnit, PrecisionController, SigmoidUnit,
 };
@@ -77,25 +83,21 @@ use crate::error::PrimeError;
 pub struct InferScratch {
     /// Current layer's input codes.
     codes: Vec<i64>,
-    /// Next layer's codes (swapped with `codes` between layers).
-    next_codes: Vec<i64>,
-    /// Per-output precision-control registers of the merge adder.
-    merge_acc: Vec<PrecisionController>,
-    /// Full-precision merged sums of the current layer.
+    /// Precision-control registers of the merge adder, one per output
+    /// of every pixel in the current window chunk (pixel-major).
+    acc: Vec<PrecisionController>,
+    /// Full-precision merged sums of the current layer, in output order.
     merged: Vec<i64>,
     /// One tile's post-output-unit results.
     tile_out: Vec<i64>,
-    /// One im2col / pooling window's staged codes.
+    /// Staged codes of one window chunk (pixel-major im2col windows) or
+    /// pooling window.
     window: Vec<i64>,
     /// Mirror of a resident conv layer's buffer row ring (the gather
     /// logic's addressable copy of the staged input rows).
     ring: Vec<i64>,
     /// One staged input row slot read back from the buffer.
     row_slot: Vec<i64>,
-    /// A chunk of gathered im2col windows, pixel-major.
-    win_chunk: Vec<i64>,
-    /// Per-pixel merge registers for a window chunk.
-    chunk_acc: Vec<PrecisionController>,
     /// Controller-side compute buffers.
     bank: BankScratch,
 }
@@ -113,14 +115,15 @@ impl InferScratch {
 /// the datapath, so outputs stay bit-identical to the unprofiled paths.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct ConvPhases {
-    /// Staging input rows (resident) or windows (per-pixel fallback)
-    /// into the FF buffer.
+    /// Staging input rows (resident) and window chunks into the FF
+    /// buffer.
     pub stage_ns: f64,
     /// Gathering im2col windows from the staged rows / activation.
     pub gather_ns: f64,
     /// Mat evaluation: latch loads, crossbar passes, merge accumulate.
     pub eval_ns: f64,
-    /// Requantize-and-emit of merged sums.
+    /// Placing merged sums in output order, then requantizing them (or
+    /// rescaling the network's final layer).
     pub emit_ns: f64,
 }
 
@@ -150,82 +153,19 @@ fn phase_add(
 }
 
 /// One mat-sized tile of a planned layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlannedTile {
     mat: MatAddr,
-    /// Row span [start, end) within the layer's input vector.
+    /// Row span [start, end) within the layer's input window.
     rows: (usize, usize),
-    /// Column span [start, end) within the layer's output vector.
+    /// Column span [start, end) within the layer's output features.
     cols: (usize, usize),
     /// The tile's SA shift (read back after programming).
     shift: u8,
 }
 
-/// One stage of the compiled plan: a contiguous run of layers placed on
-/// one bank of the slice the plan was compiled against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct PlannedStage {
-    /// Index into the bank slice handed to
-    /// [`CommandRunner::compile_pipeline`].
-    bank: usize,
-    /// Layer span [start, end) within the plan's layer list.
-    layers: (usize, usize),
-}
-
-/// What a planned layer computes per crossbar evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum PlannedOp {
-    /// Fully-connected: one evaluation over the whole input vector.
-    Fc,
-    /// Convolution: one evaluation per output pixel over an im2col
-    /// window gathered from the `[in_ch, in_h, in_w]` activation.
-    Conv {
-        /// Input channels.
-        in_ch: usize,
-        /// Output channels.
-        out_ch: usize,
-        /// Square kernel edge.
-        kernel: usize,
-        /// Zero padding on each side (padded taps stage code 0).
-        padding: usize,
-        /// Input height.
-        in_h: usize,
-        /// Input width.
-        in_w: usize,
-        /// Output height.
-        out_h: usize,
-        /// Output width.
-        out_w: usize,
-        /// Whether the layer runs the weight-stationary row-reuse
-        /// schedule: `kernel` input rows resident in the FF buffer (halo
-        /// rows reused across output rows) plus a chunk of gathered
-        /// windows, instead of staging one window per output pixel.
-        /// Decided at compile time by [`prime_analyze::conv_staging`].
-        resident: bool,
-        /// Output pixels evaluated per staged window chunk (1 when not
-        /// resident).
-        chunk_pixels: usize,
-    },
-    /// Pooling on the Fig. 4 C column-mux hardware: winner-code max or
-    /// the 1/n-weight mean dot product. Consumes no mats.
-    Pool {
-        /// Mean pooling (`level * sum`) instead of winner-code max.
-        mean: bool,
-        /// Channels.
-        channels: usize,
-        /// Input height.
-        in_h: usize,
-        /// Input width.
-        in_w: usize,
-        /// Window edge (stride = window).
-        window: usize,
-        /// Quantized 1/n reciprocal conductance level (mean only).
-        level: i64,
-    },
-}
-
 /// The output unit a planned layer routes its merged sums through.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum PlannedActivation {
     /// Both units bypassed.
     Identity,
@@ -251,9 +191,11 @@ impl PlannedActivation {
 }
 
 /// One planned layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct PlannedLayer {
-    op: PlannedOp,
+    /// What the layer computes per crossbar evaluation; also the plan
+    /// [`CommandRunner::program_plan`] exports for Pass 3.
+    op: ProgramOp,
     tiles: Vec<PlannedTile>,
     inputs: usize,
     outputs: usize,
@@ -263,31 +205,11 @@ struct PlannedLayer {
     /// the next layer (calibrated; 0 for sigmoid layers).
     requant_shift: u8,
     activation: PlannedActivation,
-    /// Buffer address of this layer's staging region (the full input
-    /// vector for FC, one window for conv/pool).
+    /// Buffer address of this layer's staging region
+    /// ([`ProgramOp::staging_words`] long).
     in_addr: BufAddr,
     /// Buffer address where this layer's output codes are staged.
     out_addr: BufAddr,
-}
-
-impl PlannedLayer {
-    /// Words of FF buffer the layer's input staging region occupies: the
-    /// full input vector for FC, the row ring plus window chunk for a
-    /// resident conv, one im2col / pooling window otherwise (the feature
-    /// maps themselves stay Mem-resident).
-    fn staging(op: &PlannedOp, inputs: usize) -> usize {
-        match *op {
-            PlannedOp::Fc => inputs,
-            PlannedOp::Conv { in_ch, kernel, in_w, resident, chunk_pixels, .. } => {
-                if resident {
-                    kernel * in_ch * in_w + chunk_pixels * in_ch * kernel * kernel
-                } else {
-                    in_ch * kernel * kernel
-                }
-            }
-            PlannedOp::Pool { window, .. } => window * window,
-        }
-    }
 }
 
 /// A compiled, programmed, command-driven network.
@@ -308,12 +230,14 @@ impl PlannedLayer {
 /// assert_eq!(out.len(), 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommandRunner {
     layers: Vec<PlannedLayer>,
     /// Stage placement: contiguous layer spans on strictly increasing
-    /// banks (a single stage on bank 0 for single-bank plans).
-    stages: Vec<PlannedStage>,
+    /// banks (a single stage on bank 0 for single-bank plans). `bank`
+    /// indexes the bank slice handed to
+    /// [`compile_pipeline`](Self::compile_pipeline).
+    stages: Vec<ProgramStage>,
     /// Scale of the network-input quantization (codes = value / scale).
     input_scale: f32,
     /// Combined output scale: real value = merged units * this.
@@ -337,7 +261,8 @@ impl CommandRunner {
     /// # Errors
     ///
     /// Returns [`PrimeError::MappingMismatch`] for a wrong-sized
-    /// calibration input or if the controller has too few mats.
+    /// calibration input or if the controller has too few mats, and
+    /// buffer errors if the buffer cannot stage a layer.
     pub fn compile(
         net: &Network,
         controller: &mut BankController,
@@ -357,9 +282,9 @@ impl CommandRunner {
         pipeline: &[PipelineStage],
         n_layers: usize,
         n_banks: usize,
-    ) -> Result<Vec<PlannedStage>, PrimeError> {
+    ) -> Result<Vec<ProgramStage>, PrimeError> {
         if pipeline.is_empty() {
-            return Ok(vec![PlannedStage {
+            return Ok(vec![ProgramStage {
                 bank: 0,
                 layers: (0, n_layers),
             }]);
@@ -378,7 +303,7 @@ impl CommandRunner {
         for stage in pipeline {
             let start = next_layer;
             next_layer += stage.layers.len();
-            stages.push(PlannedStage {
+            stages.push(ProgramStage {
                 bank: stage.bank,
                 layers: (start, next_layer),
             });
@@ -393,6 +318,11 @@ impl CommandRunner {
     /// truth for *where* layers run; an empty `pipeline` places the whole
     /// network on `banks[0]` (the small/medium-scale case).
     ///
+    /// Calibration runs the inference layer step on the calibration
+    /// activation, layer by layer: each layer's requantization shift
+    /// comes from the peak of its merged sums, and its requantized codes
+    /// are the next layer's calibration activation.
+    ///
     /// Placement does not change arithmetic: a pipelined plan produces
     /// bit-identical outputs to the same network compiled onto one
     /// sufficiently large bank.
@@ -401,7 +331,8 @@ impl CommandRunner {
     ///
     /// Returns [`PrimeError::MappingMismatch`] for a wrong-sized
     /// calibration input, a malformed stage list, or a stage needing more
-    /// FF mats than its bank provides.
+    /// FF mats than its bank provides, and buffer errors if a bank's
+    /// buffer cannot stage a layer.
     pub fn compile_pipeline(
         net: &Network,
         banks: &mut [BankController],
@@ -454,6 +385,7 @@ impl CommandRunner {
         let mut codes = Vec::new();
         Self::quantize(calibration_input, input_scale, &scheme, &mut codes);
         let mut value_scale = input_scale; // real value of one input code unit
+        let mut scratch = InferScratch::new();
 
         for stage in &stages {
             let controller = &mut banks[stage.bank];
@@ -464,243 +396,129 @@ impl CommandRunner {
             let mut next_mat = 0usize;
             let mut buf_cursor: u64 = 0;
             for layer in &net.layers()[stage.layers.0..stage.layers.1] {
-                let plan = match layer {
+                // The op, plus a weight layer's weights, their
+                // `(rows, features)` matrix shape, bias and activation.
+                let (op, weights) = match layer {
                     Layer::Fc(fc) => {
-                        let (inputs, outputs) = (fc.inputs(), fc.outputs());
-                        // Quantize weights to composed 8-bit codes.
-                        let w = fc.weights().data();
-                        let w_max = w.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
-                        let w_scale = w_max / 255.0;
-                        let weight_code = |r: usize, c: usize| {
-                            // Weight matrix is [outputs, inputs]; the
-                            // crossbar wants [inputs, outputs].
-                            ((w[c * inputs + r] / w_scale).round().clamp(-255.0, 255.0)) as i32
-                        };
-                        let tiles = Self::program_tiles(
-                            controller,
-                            &mut next_mat,
-                            (mats_per_subarray, total_mats),
-                            (inputs, outputs),
-                            (mat_rows, mat_cols),
-                            &weight_code,
-                            std::slice::from_ref(&codes),
-                        )?;
-                        // Bias in full-precision units:
-                        // bias_real / (value_scale * w_scale).
-                        let unit = value_scale * w_scale;
-                        let bias_units: Vec<i64> = fc
-                            .bias()
-                            .iter()
-                            .map(|&b| (b / unit).round() as i64)
-                            .collect();
-                        // Calibrate the requantization shift from the
-                        // merged calibration activations.
-                        let merged = Self::merge_reference(
-                            &tiles,
-                            controller,
-                            &codes,
-                            outputs,
-                            &bias_units,
-                        )?;
-                        let out_max =
-                            merged.iter().map(|&v| v.abs()).max().unwrap_or(1).max(1);
-                        let (activation, requant_shift, next_scale) =
-                            Self::plan_activation(fc.activation(), unit, out_max, &scheme);
-                        // Advance the calibration activations.
-                        codes = merged
-                            .into_iter()
-                            .map(|v| Self::next_code(activation, requant_shift, code_max, v))
-                            .collect();
-                        value_scale = next_scale;
-                        PlannedLayer {
-                            op: PlannedOp::Fc,
-                            tiles,
-                            inputs,
-                            outputs,
-                            bias_units,
-                            requant_shift,
-                            activation,
-                            in_addr: BufAddr(0),
-                            out_addr: BufAddr(0),
-                        }
+                        let shape = (fc.inputs(), fc.outputs());
+                        let weights = (fc.weights().data(), shape, fc.bias(), fc.activation());
+                        (ProgramOp::Fc, Some(weights))
                     }
                     Layer::Conv(conv) => {
                         let (in_ch, out_ch) = (conv.in_channels(), conv.out_channels());
-                        let (k, padding) = (conv.kernel(), conv.padding());
-                        let (oh, ow) = (conv.out_h(), conv.out_w());
-                        let (inputs, outputs) = (conv.inputs(), conv.outputs());
-                        let rows = in_ch * k * k;
+                        let (kernel, in_w, out_w) = (conv.kernel(), conv.in_w(), conv.out_w());
                         // Deploy-time staging plan: the same accounting
                         // the static verifier's P019/P020 checks use.
                         let staging = prime_analyze::conv_staging(
                             in_ch,
-                            k,
-                            conv.in_w(),
-                            ow,
+                            kernel,
+                            in_w,
+                            out_w,
                             controller.buffer().capacity(),
                         );
-                        let op = PlannedOp::Conv {
+                        let op = ProgramOp::Conv {
                             in_ch,
                             out_ch,
-                            kernel: k,
-                            padding,
+                            kernel,
+                            padding: conv.padding(),
                             in_h: conv.in_h(),
-                            in_w: conv.in_w(),
-                            out_h: oh,
-                            out_w: ow,
+                            in_w,
+                            out_h: conv.out_h(),
+                            out_w,
                             resident: staging.resident,
                             chunk_pixels: staging.chunk_pixels,
                         };
-                        let w = conv.weights().data();
-                        let w_max = w.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
-                        let w_scale = w_max / 255.0;
-                        let weight_code = |r: usize, c: usize| {
-                            // Row r walks (ic, ky, kx); weights are
-                            // [out_ch, in_ch, k, k] and the crossbar wants
-                            // the kernel matrix [rows, out_ch].
-                            let (ic, rem) = (r / (k * k), r % (k * k));
-                            let value = w[((c * in_ch + ic) * k + rem / k) * k + rem % k];
-                            ((value / w_scale).round().clamp(-255.0, 255.0)) as i32
-                        };
-                        // Every im2col window of the calibration
-                        // activation: SA and requant calibration sweep the
-                        // layer's real working set.
-                        let mut windows: Vec<Vec<i64>> = Vec::with_capacity(oh * ow);
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                let mut win = Vec::with_capacity(rows);
-                                Self::gather_window(&op, &codes, oy, ox, &mut win);
-                                windows.push(win);
-                            }
-                        }
-                        let tiles = Self::program_tiles(
-                            controller,
-                            &mut next_mat,
-                            (mats_per_subarray, total_mats),
-                            (rows, out_ch),
-                            (mat_rows, mat_cols),
-                            &weight_code,
-                            &windows,
-                        )?;
-                        let unit = value_scale * w_scale;
-                        let bias_units: Vec<i64> = conv
-                            .bias()
-                            .iter()
-                            .map(|&b| (b / unit).round() as i64)
-                            .collect();
-                        // Requant calibration over every output pixel.
-                        let mut merged_all = Vec::with_capacity(windows.len());
-                        let mut out_max = 1i64;
-                        for win in &windows {
-                            let m = Self::merge_reference(
-                                &tiles, controller, win, out_ch, &bias_units,
-                            )?;
-                            out_max =
-                                out_max.max(m.iter().map(|&v| v.abs()).max().unwrap_or(1));
-                            merged_all.push(m);
-                        }
-                        let (activation, requant_shift, next_scale) =
-                            Self::plan_activation(conv.activation(), unit, out_max, &scheme);
-                        let mut next = vec![0i64; outputs];
-                        for (p, m) in merged_all.iter().enumerate() {
-                            let (oy, ox) = (p / ow, p % ow);
-                            for (oc, &v) in m.iter().enumerate() {
-                                next[(oc * oh + oy) * ow + ox] =
-                                    Self::next_code(activation, requant_shift, code_max, v);
-                            }
-                        }
-                        codes = next;
-                        value_scale = next_scale;
-                        PlannedLayer {
-                            op,
-                            tiles,
-                            inputs,
-                            outputs,
-                            bias_units,
-                            requant_shift,
-                            activation,
-                            in_addr: BufAddr(0),
-                            out_addr: BufAddr(0),
-                        }
+                        let shape = (in_ch * kernel * kernel, out_ch);
+                        (op, Some((conv.weights().data(), shape, conv.bias(), conv.activation())))
                     }
                     Layer::Pool(pool) => {
-                        let win = pool.window();
-                        let n = win * win;
-                        let (inputs, outputs) = (pool.inputs(), pool.outputs());
-                        let (channels, ih, iw) = (pool.channels(), pool.in_h(), pool.in_w());
-                        let (oh, ow) = (ih / win, iw / win);
                         let mean = matches!(pool.kind(), PoolKind::Mean);
                         // The quantized 1/n reciprocal the mux cells
                         // program (4-bit MLC budget). Software rescaling
                         // divides the level back out, so the mean stays
                         // exact as long as the level is nonzero.
+                        let n = pool.window() * pool.window();
                         let level = if mean {
                             i64::from(mean_pool_weights(n, scheme.weight_half_bits())?[0])
                         } else {
                             0
                         };
-                        let op = PlannedOp::Pool {
+                        let op = ProgramOp::Pool {
                             mean,
-                            channels,
-                            in_h: ih,
-                            in_w: iw,
-                            window: win,
+                            channels: pool.channels(),
+                            in_h: pool.in_h(),
+                            in_w: pool.in_w(),
+                            window: pool.window(),
                             level,
                         };
-                        // Digital preview of the pooled calibration
-                        // activations, then the calibrated requant shift.
-                        let mut next = vec![0i64; outputs];
-                        let mut winbuf = Vec::with_capacity(n);
-                        let mut out_max = 1i64;
-                        for c in 0..channels {
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    Self::gather_pool_window(
-                                        &op, &codes, c, oy, ox, &mut winbuf,
-                                    );
-                                    let m = Self::pool_reduce(&op, &mut winbuf)?;
-                                    out_max = out_max.max(m.abs());
-                                    next[(c * oh + oy) * ow + ox] = m;
-                                }
-                            }
-                        }
-                        // Winner-code max selects among existing codes, so
-                        // only the mean's level-scaled sums need requant.
-                        let requant_shift = if mean {
-                            Self::requant_shift(out_max, &scheme)
-                        } else {
-                            0
-                        };
-                        for v in &mut next {
-                            *v = Self::next_code(
-                                PlannedActivation::Identity,
-                                requant_shift,
-                                code_max,
-                                *v,
-                            );
-                        }
-                        codes = next;
-                        if mean {
-                            value_scale = value_scale * f32::from(requant_shift).exp2()
-                                / (level * n as i64) as f32;
-                        }
-                        PlannedLayer {
-                            op,
-                            tiles: Vec::new(),
-                            inputs,
-                            outputs,
-                            bias_units: Vec::new(),
-                            requant_shift,
-                            activation: PlannedActivation::Identity,
-                            in_addr: BufAddr(0),
-                            out_addr: BufAddr(0),
-                        }
+                        (op, None)
                     }
                 };
-                let mut plan = plan;
-                plan.in_addr = BufAddr(buf_cursor);
-                buf_cursor += PlannedLayer::staging(&plan.op, plan.inputs) as u64;
-                plan.out_addr = BufAddr(buf_cursor);
+                let inputs = layer.inputs();
+                let in_addr = BufAddr(buf_cursor);
+                buf_cursor += op.staging_words(inputs) as u64;
+                let mut plan = PlannedLayer {
+                    op,
+                    tiles: Vec::new(),
+                    inputs,
+                    outputs: layer.outputs(),
+                    bias_units: Vec::new(),
+                    requant_shift: 0,
+                    activation: PlannedActivation::Identity,
+                    in_addr,
+                    out_addr: BufAddr(buf_cursor),
+                };
+                // A weight layer's real value of one merged unit.
+                let unit = if let Some((w, (rows, features), bias, _)) = weights {
+                    // Quantize weights to composed 8-bit codes. Both
+                    // layouts are `[features][rows]` (an FC row is an
+                    // input, a conv row an `(ic, ky, kx)` tap); the
+                    // crossbar wants `[rows][features]`.
+                    let w_max = w.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
+                    let w_scale = w_max / 255.0;
+                    let weight_code = |r: usize, c: usize| {
+                        ((w[c * rows + r] / w_scale).round().clamp(-255.0, 255.0)) as i32
+                    };
+                    plan.tiles = Self::program_tiles(
+                        controller,
+                        &mut next_mat,
+                        (mats_per_subarray, total_mats),
+                        (rows, features),
+                        (mat_rows, mat_cols),
+                        &weight_code,
+                        (&op, &codes),
+                    )?;
+                    // Bias in full-precision units:
+                    // bias_real / (value_scale * w_scale).
+                    let unit = value_scale * w_scale;
+                    plan.bias_units = bias.iter().map(|&b| (b / unit).round() as i64).collect();
+                    unit
+                } else {
+                    value_scale
+                };
+                // Calibrate: the layer step on the calibration activation.
+                Self::eval_layer(&plan, controller, &mut scratch, &codes, &mut None)?;
+                let out_max =
+                    scratch.merged.iter().map(|&v| v.abs()).max().unwrap_or(1).max(1);
+                match (weights, op) {
+                    (Some((.., activation)), _) => {
+                        (plan.activation, plan.requant_shift, value_scale) =
+                            Self::plan_activation(activation, unit, out_max, &scheme);
+                    }
+                    // Winner-code max selects among existing codes, so
+                    // only the mean's level-scaled sums need requant.
+                    (None, ProgramOp::Pool { mean: true, window, level, .. }) => {
+                        plan.requant_shift = Self::requant_shift(out_max, &scheme);
+                        value_scale = value_scale * f32::from(plan.requant_shift).exp2()
+                            / (level * (window * window) as i64) as f32;
+                    }
+                    (None, _) => {}
+                }
+                // Advance the calibration activation.
+                codes.clear();
+                codes.extend(scratch.merged.iter().map(|&v| {
+                    Self::next_code(plan.activation, plan.requant_shift, code_max, v)
+                }));
                 planned.push(plan);
             }
             mats_used += next_mat;
@@ -761,9 +579,9 @@ impl CommandRunner {
 
     /// Tiles a `rows`x`cols` quantized weight matrix over the bank's FF
     /// mats: allocates mats in order, programs each tile's composed
-    /// codes, and calibrates its SA window against every calibration
-    /// vector (the full input for FC, every im2col window for conv).
-    #[allow(clippy::too_many_arguments)]
+    /// codes, and calibrates its SA window against every window `op`
+    /// reads from the calibration activation `codes` (the full input for
+    /// FC, every im2col window for conv).
     fn program_tiles(
         controller: &mut BankController,
         next_mat: &mut usize,
@@ -771,7 +589,7 @@ impl CommandRunner {
         (rows, cols): (usize, usize),
         (mat_rows, mat_cols): (usize, usize),
         weight_code: &dyn Fn(usize, usize) -> i32,
-        calib: &[Vec<i64>],
+        (op, codes): (&ProgramOp, &[i64]),
     ) -> Result<Vec<PlannedTile>, PrimeError> {
         let row_spans: Vec<(usize, usize)> = (0..rows.div_ceil(mat_rows))
             .map(|t| (t * mat_rows, ((t + 1) * mat_rows).min(rows)))
@@ -780,6 +598,7 @@ impl CommandRunner {
             .map(|t| (t * mat_cols, ((t + 1) * mat_cols).min(cols)))
             .collect();
         let mut tiles = Vec::new();
+        let mut window = Vec::new();
         for &(r0, r1) in &row_spans {
             for &(c0, c1) in &col_spans {
                 if *next_mat >= total_mats {
@@ -811,9 +630,9 @@ impl CommandRunner {
                     mat,
                     function: MatFunction::Compute,
                 })?;
-                // Calibrate the SA window on the calibration codes.
+                // Calibrate the SA window on the calibration windows.
                 let mut max_abs = 1i64;
-                for v in calib {
+                let mut sense = |v: &[i64]| {
                     for c in 0..tc {
                         let mut acc = 0i64;
                         for (r, &x) in v[r0..r1].iter().enumerate() {
@@ -821,6 +640,18 @@ impl CommandRunner {
                         }
                         max_abs = max_abs.max(acc.abs());
                     }
+                };
+                match *op {
+                    ProgramOp::Conv { out_h, out_w, .. } => {
+                        for oy in 0..out_h {
+                            for ox in 0..out_w {
+                                window.clear();
+                                Self::gather_window(op, codes, oy, ox, &mut window);
+                                sense(&window);
+                            }
+                        }
+                    }
+                    _ => sense(codes),
                 }
                 controller.mat_mut(mat).calibrate_output_window(2 * max_abs);
                 let shift = controller.mat(mat).output_shift();
@@ -892,16 +723,21 @@ impl CommandRunner {
         Ok(self.clone())
     }
 
+    /// Every planned layer with the bank (index into the compile-time
+    /// bank slice) hosting it, in execution order.
+    fn placed_layers(&self) -> impl Iterator<Item = (usize, &PlannedLayer)> + '_ {
+        self.stages.iter().flat_map(move |stage| {
+            self.layers[stage.layers.0..stage.layers.1]
+                .iter()
+                .map(move |layer| (stage.bank, layer))
+        })
+    }
+
     /// Every mat the plan programs, as (index into the compile-time bank
     /// slice, mat address), in stage, layer, then tile order.
     pub(crate) fn placements(&self) -> impl Iterator<Item = (usize, MatAddr)> + '_ {
-        self.stages.iter().flat_map(move |stage| {
-            self.layers
-                .iter()
-                .take(stage.layers.1)
-                .skip(stage.layers.0)
-                .flat_map(move |layer| layer.tiles.iter().map(move |tile| (stage.bank, tile.mat)))
-        })
+        self.placed_layers()
+            .flat_map(|(bank, layer)| layer.tiles.iter().map(move |tile| (bank, tile.mat)))
     }
 
     /// Buffer address of `stage`'s input staging region and the logical
@@ -951,7 +787,7 @@ impl CommandRunner {
     ) -> Result<(), PrimeError> {
         let layer = &self.layers[self.stages[stage].layers.1 - 1];
         match layer.op {
-            PlannedOp::Fc => bank.transfer_out(layer.out_addr, layer.outputs, codes),
+            ProgramOp::Fc => bank.transfer_out(layer.out_addr, layer.outputs, codes),
             _ => {
                 let chunk = Self::io_chunk(layer.outputs);
                 for burst in codes.chunks(chunk) {
@@ -978,7 +814,7 @@ impl CommandRunner {
     ) -> Result<(), PrimeError> {
         let layer = &self.layers[self.stages[stage].layers.0];
         match layer.op {
-            PlannedOp::Fc => bank.transfer_in(layer.in_addr, codes),
+            ProgramOp::Fc => bank.transfer_in(layer.in_addr, codes),
             _ => {
                 let chunk = Self::io_chunk(layer.inputs);
                 for burst in codes.chunks(chunk) {
@@ -1007,11 +843,11 @@ impl CommandRunner {
                     PlannedActivation::Sigmoid(_) => " sigmoid",
                 };
                 match plan.op {
-                    PlannedOp::Fc => format!("fc {}-{}{act}", plan.inputs, plan.outputs),
-                    PlannedOp::Conv { in_ch, out_ch, kernel, out_h, out_w, .. } => {
+                    ProgramOp::Fc => format!("fc {}-{}{act}", plan.inputs, plan.outputs),
+                    ProgramOp::Conv { in_ch, out_ch, kernel, out_h, out_w, .. } => {
                         format!("conv{kernel}x{kernel} {in_ch}-{out_ch}ch {out_h}x{out_w}{act}")
                     }
-                    PlannedOp::Pool { mean, channels, window, .. } => {
+                    ProgramOp::Pool { mean, channels, window, .. } => {
                         let kind = if mean { "meanpool" } else { "maxpool" };
                         format!("{kind}{window}x{window} {channels}ch")
                     }
@@ -1027,60 +863,9 @@ impl CommandRunner {
     /// same bank slice the plan was compiled against, in stage order.
     /// Read-only: no command is issued and no mat state changes.
     pub fn program_plan(&self, banks: &[BankController]) -> prime_analyze::ProgramPlan {
-        let layer_bank: Vec<usize> = {
-            let mut map = vec![0usize; self.layers.len()];
-            for stage in &self.stages {
-                for slot in map
-                    .iter_mut()
-                    .take(stage.layers.1.min(self.layers.len()))
-                    .skip(stage.layers.0)
-                {
-                    *slot = stage.bank;
-                }
-            }
-            map
-        };
         let layers = self
-            .layers
-            .iter()
-            .zip(&layer_bank)
-            .map(|(plan, &bank)| {
-                let op = match plan.op {
-                    PlannedOp::Fc => prime_analyze::ProgramOp::Fc,
-                    PlannedOp::Conv {
-                        in_ch,
-                        out_ch,
-                        kernel,
-                        padding,
-                        in_h,
-                        in_w,
-                        out_h,
-                        out_w,
-                        resident,
-                        chunk_pixels,
-                    } => prime_analyze::ProgramOp::Conv {
-                        in_ch,
-                        out_ch,
-                        kernel,
-                        padding,
-                        in_h,
-                        in_w,
-                        out_h,
-                        out_w,
-                        resident,
-                        chunk_pixels,
-                    },
-                    PlannedOp::Pool { mean, channels, in_h, in_w, window, level } => {
-                        prime_analyze::ProgramOp::Pool {
-                            mean,
-                            channels,
-                            in_h,
-                            in_w,
-                            window,
-                            level,
-                        }
-                    }
-                };
+            .placed_layers()
+            .map(|(bank, plan)| {
                 let tiles = plan
                     .tiles
                     .iter()
@@ -1094,7 +879,7 @@ impl CommandRunner {
                     })
                     .collect();
                 prime_analyze::ProgramLayer {
-                    op,
+                    op: plan.op,
                     inputs: plan.inputs,
                     outputs: plan.outputs,
                     in_addr: plan.in_addr.0,
@@ -1109,11 +894,6 @@ impl CommandRunner {
                 }
             })
             .collect();
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| prime_analyze::ProgramStage { bank: s.bank, layers: s.layers })
-            .collect();
         let buffer_words = banks
             .iter()
             .map(|b| b.buffer().capacity())
@@ -1121,100 +901,199 @@ impl CommandRunner {
             .unwrap_or(0);
         prime_analyze::ProgramPlan {
             layers,
-            stages,
+            stages: self.stages.clone(),
             buffer_words,
             recycle_credits: prime_compiler::pipeline_credits(self.stages.len()),
         }
     }
 
-    /// Full-precision merged sums of one layer on given input codes,
-    /// via actual mat computation (used for calibration and inference).
-    fn merge_reference(
-        tiles: &[PlannedTile],
-        controller: &mut BankController,
+    /// The one layer step: evaluates `plan` on its input activation
+    /// `codes` — on the mats for FC and conv layers, on the pooling units
+    /// for pool layers — and leaves the layer's merged full-precision
+    /// sums in `scratch.merged`, in output order. Inference and
+    /// deploy-time calibration both run here.
+    ///
+    /// An FC layer stages its input at `in_addr` and evaluates as one
+    /// window. A conv layer runs one chunk loop: a resident layer stages
+    /// its input rows into the ring at `in_addr` (halo rows reused across
+    /// output rows) and gathers `chunk_pixels` windows at a time from it;
+    /// the per-pixel fallback gathers one-pixel chunks straight from the
+    /// activation. Either way each chunk is staged after the ring and
+    /// evaluated tile by tile ([`eval_tiles`](Self::eval_tiles)).
+    fn eval_layer(
+        plan: &PlannedLayer,
+        bank: &mut BankController,
+        scratch: &mut InferScratch,
         codes: &[i64],
-        outputs: usize,
-        bias_units: &[i64],
-    ) -> Result<Vec<i64>, PrimeError> {
-        let mut acc = Vec::new();
-        let mut bank = BankScratch::new();
-        let mut tile_out = Vec::new();
-        let mut out = Vec::new();
-        Self::merge_reference_into(
-            tiles,
-            controller,
-            codes,
-            outputs,
-            bias_units,
-            &mut acc,
-            &mut bank,
-            &mut tile_out,
-            &mut out,
-        )?;
-        Ok(out)
-    }
-
-    /// [`merge_reference`](Self::merge_reference) into caller-owned
-    /// buffers: the merge adder's precision-control registers, the bank
-    /// compute scratch, and the output all reuse their storage, so the
-    /// merge kernel performs zero steady-state heap allocation.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_reference_into(
-        tiles: &[PlannedTile],
-        controller: &mut BankController,
-        codes: &[i64],
-        outputs: usize,
-        bias_units: &[i64],
-        acc: &mut Vec<PrecisionController>,
-        bank: &mut BankScratch,
-        tile_out: &mut Vec<i64>,
-        out: &mut Vec<i64>,
+        phases: &mut Option<&mut ConvPhases>,
     ) -> Result<(), PrimeError> {
-        acc.clear();
-        acc.resize_with(outputs, PrecisionController::new);
-        for (o, &b) in acc.iter_mut().zip(bias_units) {
-            o.accumulate(b, 0);
-        }
-        for tile in tiles {
-            let (r0, r1) = tile.rows;
-            // Stage the tile's input slice through the buffer: the
-            // `load` command moves it into the mat latch.
-            let slice = &codes[r0..r1];
-            controller.buffer_mut().store(BufAddr(0), slice)?;
-            controller.execute(Command::Load {
-                from: BufAddr(0),
-                to: FfAddr {
-                    mat: tile.mat,
-                    offset: 0,
-                },
-                bytes: (slice.len() * 8) as u64,
-            })?;
-            controller.compute_mat_into(tile.mat, bank, tile_out)?;
-            let (c0, c1) = tile.cols;
-            for (i, &v) in tile_out.iter().enumerate().take(c1 - c0) {
-                // Expand the tile's truncated code back to full-precision
-                // units before the merge add.
-                acc[c0 + i].accumulate(v, tile.shift);
+        let InferScratch { acc, merged, tile_out, window, ring, row_slot, bank: bank_scratch, .. } =
+            scratch;
+        merged.clear();
+        match plan.op {
+            ProgramOp::Fc => {
+                bank.buffer_mut().store(plan.in_addr, codes)?;
+                let staged = (plan.in_addr, codes, 1);
+                Self::eval_tiles(plan, bank, staged, plan.outputs, acc, bank_scratch, tile_out)?;
+                merged.extend(acc.iter().map(PrecisionController::value));
+            }
+            ProgramOp::Conv {
+                in_ch,
+                kernel,
+                padding,
+                in_h,
+                in_w,
+                out_h,
+                out_w,
+                resident,
+                chunk_pixels,
+                ..
+            } => {
+                let out_ch = plan.outputs / (out_h * out_w);
+                let slot_w = in_ch * in_w;
+                let ring_words = if resident { kernel * slot_w } else { 0 };
+                let chunk_addr = BufAddr(plan.in_addr.0 + ring_words as u64);
+                ring.clear();
+                ring.resize(ring_words, 0);
+                merged.resize(plan.outputs, 0);
+                let mut staged_rows = 0usize;
+                for oy in 0..out_h {
+                    // Stage the not-yet-resident input rows this output
+                    // row reads; rows staged for earlier output rows are
+                    // the reused halo.
+                    let need = if resident {
+                        (oy + kernel).saturating_sub(padding).min(in_h)
+                    } else {
+                        0
+                    };
+                    let t = phase_mark(phases.is_some());
+                    while staged_rows < need {
+                        let iy = staged_rows;
+                        let slot = (iy % kernel) * slot_w;
+                        for ic in 0..in_ch {
+                            let base = (ic * in_h + iy) * in_w;
+                            bank.buffer_mut().store(
+                                BufAddr(plan.in_addr.0 + (slot + ic * in_w) as u64),
+                                &codes[base..base + in_w],
+                            )?;
+                        }
+                        // Read the slot back: gathers consume the
+                        // buffer-resident rows through the scratch mirror.
+                        bank.buffer_mut().load_into(
+                            BufAddr(plan.in_addr.0 + slot as u64),
+                            slot_w,
+                            row_slot,
+                        )?;
+                        ring[slot..slot + slot_w].copy_from_slice(row_slot);
+                        staged_rows += 1;
+                    }
+                    phase_add(phases, t, |ph| &mut ph.stage_ns);
+                    for ox0 in (0..out_w).step_by(chunk_pixels) {
+                        let pixels = chunk_pixels.min(out_w - ox0);
+                        let t = phase_mark(phases.is_some());
+                        window.clear();
+                        for ox in ox0..ox0 + pixels {
+                            if resident {
+                                Self::gather_window_from_ring(&plan.op, ring, oy, ox, window);
+                            } else {
+                                Self::gather_window(&plan.op, codes, oy, ox, window);
+                            }
+                        }
+                        phase_add(phases, t, |ph| &mut ph.gather_ns);
+                        let t = phase_mark(phases.is_some());
+                        bank.buffer_mut().store(chunk_addr, window)?;
+                        phase_add(phases, t, |ph| &mut ph.stage_ns);
+                        let t = phase_mark(phases.is_some());
+                        let staged = (chunk_addr, window.as_slice(), pixels);
+                        Self::eval_tiles(plan, bank, staged, out_ch, acc, bank_scratch, tile_out)?;
+                        phase_add(phases, t, |ph| &mut ph.eval_ns);
+                        let t = phase_mark(phases.is_some());
+                        for p in 0..pixels {
+                            for oc in 0..out_ch {
+                                merged[(oc * out_h + oy) * out_w + ox0 + p] =
+                                    acc[p * out_ch + oc].value();
+                            }
+                        }
+                        phase_add(phases, t, |ph| &mut ph.emit_ns);
+                    }
+                }
+            }
+            ProgramOp::Pool { channels, in_h, in_w, window: win, .. } => {
+                for c in 0..channels {
+                    for oy in 0..in_h / win {
+                        for ox in 0..in_w / win {
+                            Self::gather_pool_window(&plan.op, codes, c, oy, ox, window);
+                            // Stage the candidates for the pooling
+                            // unit's registers.
+                            bank.buffer_mut().store(plan.in_addr, window)?;
+                            merged.push(Self::pool_reduce(&plan.op, window)?);
+                        }
+                    }
+                }
             }
         }
-        out.clear();
-        out.extend(acc.iter().map(|m| m.value()));
         Ok(())
     }
 
-    /// Gathers the im2col window of conv output pixel `(oy, ox)` from a
-    /// `[in_ch, in_h, in_w]` activation into `window`. Padded taps push
+    /// Evaluates every tile of a weight layer on a staged chunk of
+    /// windows — `(addr, windows, pixels)`: `pixels` equal-length windows
+    /// staged pixel-major at buffer address `addr` — and leaves pixel
+    /// `p`'s merged sums of the layer's `features` outputs in
+    /// `acc[p * features..]`. Per tile, one latch load covers the tile's
+    /// rows of every window, then the mat evaluates each window in turn:
+    /// tiles outer, pixels inner, the order read noise draws in.
+    fn eval_tiles(
+        plan: &PlannedLayer,
+        bank: &mut BankController,
+        (addr, windows, pixels): (BufAddr, &[i64], usize),
+        features: usize,
+        acc: &mut Vec<PrecisionController>,
+        bank_scratch: &mut BankScratch,
+        tile_out: &mut Vec<i64>,
+    ) -> Result<(), PrimeError> {
+        let stride = windows.len() / pixels;
+        acc.clear();
+        acc.resize_with(pixels * features, PrecisionController::new);
+        for p in 0..pixels {
+            let sums = &mut acc[p * features..(p + 1) * features];
+            for (o, &b) in sums.iter_mut().zip(&plan.bias_units) {
+                o.accumulate(b, 0);
+            }
+        }
+        for tile in &plan.tiles {
+            let ((r0, r1), (c0, c1)) = (tile.rows, tile.cols);
+            bank.execute(Command::Load {
+                from: BufAddr(addr.0 + r0 as u64),
+                to: FfAddr { mat: tile.mat, offset: 0 },
+                bytes: (((pixels - 1) * stride + r1 - r0) * 8) as u64,
+            })?;
+            for p in 0..pixels {
+                let win = &windows[p * stride + r0..p * stride + r1];
+                bank.compute_mat_words_into(tile.mat, win, bank_scratch, tile_out)?;
+                // Expand the tile's truncated codes back to
+                // full-precision units before the merge add.
+                let sums = &mut acc[p * features + c0..p * features + c1];
+                for (o, &v) in sums.iter_mut().zip(tile_out.iter()) {
+                    o.accumulate(v, tile.shift);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the im2col window of conv output pixel `(oy, ox)`,
+    /// gathered from a `[in_ch, in_h, in_w]` activation, onto `window`
+    /// (no clear — chunk gathers append pixel-major). Padded taps push
     /// code 0 — exactly the contribution of a grounded input line on the
     /// unsigned drivers.
     fn gather_window(
-        op: &PlannedOp,
+        op: &ProgramOp,
         codes: &[i64],
         oy: usize,
         ox: usize,
         window: &mut Vec<i64>,
     ) {
-        window.clear();
-        let PlannedOp::Conv { in_ch, kernel, padding, in_h, in_w, .. } = *op else {
+        let ProgramOp::Conv { in_ch, kernel, padding, in_h, in_w, .. } = *op else {
             return;
         };
         for ic in 0..in_ch {
@@ -1240,13 +1119,13 @@ impl CommandRunner {
     /// the result is element-identical to
     /// [`gather_window`](Self::gather_window) on the raw activation.
     fn gather_window_from_ring(
-        op: &PlannedOp,
+        op: &ProgramOp,
         ring: &[i64],
         oy: usize,
         ox: usize,
         out: &mut Vec<i64>,
     ) {
-        let PlannedOp::Conv { in_ch, kernel, padding, in_h, in_w, .. } = *op else {
+        let ProgramOp::Conv { in_ch, kernel, padding, in_h, in_w, .. } = *op else {
             return;
         };
         for ic in 0..in_ch {
@@ -1268,7 +1147,7 @@ impl CommandRunner {
     /// Gathers the pooling window of output element `(c, oy, ox)` from a
     /// `[channels, in_h, in_w]` activation into `window`.
     fn gather_pool_window(
-        op: &PlannedOp,
+        op: &ProgramOp,
         codes: &[i64],
         c: usize,
         oy: usize,
@@ -1276,7 +1155,7 @@ impl CommandRunner {
         window: &mut Vec<i64>,
     ) {
         window.clear();
-        let PlannedOp::Pool { in_h, in_w, window: win, .. } = *op else {
+        let ProgramOp::Pool { in_h, in_w, window: win, .. } = *op else {
             return;
         };
         for wy in 0..win {
@@ -1291,8 +1170,8 @@ impl CommandRunner {
     /// pooling, or the winner-code maximum for max pooling. Mutates
     /// `window` in place (the max reduction reuses it as its register
     /// file), so the inference hot path allocates nothing.
-    fn pool_reduce(op: &PlannedOp, window: &mut Vec<i64>) -> Result<i64, PrimeError> {
-        let PlannedOp::Pool { mean, level, .. } = *op else {
+    fn pool_reduce(op: &ProgramOp, window: &mut Vec<i64>) -> Result<i64, PrimeError> {
+        let ProgramOp::Pool { mean, level, .. } = *op else {
             return Err(PrimeError::Internal {
                 reason: "pool_reduce on a non-pool layer".to_string(),
             });
@@ -1320,27 +1199,6 @@ impl CommandRunner {
             window.truncate(w);
         }
         Ok(window[0])
-    }
-
-    /// Routes one merged value to its destination: requantized codes for
-    /// an interior layer, real-valued output for the network's final
-    /// layer.
-    fn emit(
-        plan: &PlannedLayer,
-        final_unit: f32,
-        fwd_code_max: i64,
-        idx: usize,
-        v: i64,
-        next_codes: &mut [i64],
-        final_out: &mut Option<&mut Vec<f32>>,
-    ) {
-        match final_out {
-            Some(out) => out[idx] = plan.activation.apply(v) as f32 * final_unit,
-            None => {
-                next_codes[idx] =
-                    Self::next_code(plan.activation, plan.requant_shift, fwd_code_max, v)
-            }
-        }
     }
 
     /// Runs one inference entirely through controller commands: the input
@@ -1374,12 +1232,13 @@ impl CommandRunner {
     ///
     /// On a bank with [read noise](BankController::set_read_noise), every
     /// tile evaluates through the analog domain and draws from the bank's
-    /// stream in plan order — for resident conv layers, window chunks
-    /// outer, then tiles, then the chunk's pixels (per-pixel fallback
-    /// layers keep pixels outer, tiles inner) — and only sensed bitlines
-    /// draw, so a seed reproduces the inference. The draw order was
-    /// re-pinned by the weight-stationary conv schedule (DESIGN.md §11);
-    /// every engine runs this one loop, so all stay mutually bit-identical.
+    /// stream in plan order — for conv layers, window chunks outer, then
+    /// tiles, then the chunk's pixels (the per-pixel fallback's chunks
+    /// hold one pixel, so its pixels are outer and tiles inner) — and
+    /// only sensed bitlines draw, so a seed reproduces the inference. The
+    /// draw order was re-pinned by the weight-stationary conv schedule
+    /// (DESIGN.md §11); every engine runs this one loop, so all stay
+    /// mutually bit-identical.
     ///
     /// # Errors
     ///
@@ -1516,9 +1375,10 @@ impl CommandRunner {
     /// (non-final stages). The final stage instead fills `out` with the
     /// real-valued network outputs. Tiles evaluate digitally, or with the
     /// bank's [read noise](BankController::set_read_noise) drawn in the
-    /// plan order [`infer_into`](Self::infer_into) describes; each stage's
-    /// bank owns its stream, so overlapped (pipelined) and serial execution
-    /// consume identical per-bank sequences.
+    /// plan order [`infer_into`](Self::infer_into) describes (one-pixel
+    /// chunks for the per-pixel conv fallback); each stage's bank owns its
+    /// stream, so overlapped (pipelined) and serial execution consume
+    /// identical per-bank sequences.
     ///
     /// # Errors
     ///
@@ -1535,6 +1395,10 @@ impl CommandRunner {
         self.run_stage_impl(stage, bank, scratch, codes, out, None, None)
     }
 
+    /// [`run_stage`](Self::run_stage) with the optional per-layer and
+    /// per-conv-phase stopwatches: the layer step, then one pass that
+    /// requantizes its merged sums into the next layer's codes (or
+    /// rescales the network's final layer into `out`).
     #[allow(clippy::too_many_arguments)]
     fn run_stage_impl(
         &self,
@@ -1547,268 +1411,35 @@ impl CommandRunner {
         mut conv_phases: Option<&mut ConvPhases>,
     ) -> Result<(), PrimeError> {
         let (start, end) = self.stages[stage].layers;
-        let last_global = self.layers.len() - 1;
-        let fwd_code_max = i64::from(self.scheme.input_code_max());
-        let InferScratch {
-            next_codes,
-            merge_acc,
-            merged,
-            tile_out,
-            window,
-            ring,
-            row_slot,
-            win_chunk,
-            chunk_acc,
-            bank: bank_scratch,
-            ..
-        } = scratch;
-        for (i, plan) in self.layers[start..end].iter().enumerate() {
+        let code_max = i64::from(self.scheme.input_code_max());
+        for (index, plan) in self.layers.iter().enumerate().take(end).skip(start) {
             let stopwatch = layer_ns.is_some().then(std::time::Instant::now);
-            let is_final = start + i == last_global;
-            let final_unit = self.output_scale / f32::from(plan.requant_shift).exp2();
-            // Prepare the destination for indexed writes: the real-valued
-            // network output for the final layer, requantized codes
-            // otherwise.
-            let mut final_out: Option<&mut Vec<f32>> = if is_final {
-                let o = out.as_deref_mut().ok_or(PrimeError::MappingMismatch {
+            let is_conv = matches!(plan.op, ProgramOp::Conv { .. });
+            let mut phases = conv_phases.as_deref_mut().filter(|_| is_conv);
+            Self::eval_layer(plan, bank, scratch, codes, &mut phases)?;
+            let t = phase_mark(phases.is_some());
+            let is_final = index + 1 == self.layers.len();
+            if is_final {
+                let out = out.as_deref_mut().ok_or(PrimeError::MappingMismatch {
                     reason: "final stage requires an output buffer".to_string(),
                 })?;
-                o.clear();
-                o.resize(plan.outputs, 0.0);
-                Some(o)
+                let unit = self.output_scale / f32::from(plan.requant_shift).exp2();
+                out.clear();
+                out.extend(scratch.merged.iter().map(|&v| plan.activation.apply(v) as f32 * unit));
             } else {
-                next_codes.clear();
-                next_codes.resize(plan.outputs, 0);
-                None
-            };
-            match plan.op {
-                PlannedOp::Fc => {
-                    bank.buffer_mut().store(plan.in_addr, codes)?;
-                    Self::merge_reference_into(
-                        &plan.tiles,
-                        bank,
-                        codes,
-                        plan.outputs,
-                        &plan.bias_units,
-                        merge_acc,
-                        bank_scratch,
-                        tile_out,
-                        merged,
-                    )?;
-                    for (o, &v) in merged.iter().enumerate() {
-                        Self::emit(
-                            plan, final_unit, fwd_code_max, o, v, next_codes, &mut final_out,
-                        );
-                    }
-                }
-                PlannedOp::Conv {
-                    in_ch,
-                    kernel,
-                    padding,
-                    in_h,
-                    in_w,
-                    out_h,
-                    out_w,
-                    resident,
-                    chunk_pixels,
-                    ..
-                } => {
-                    let out_ch = plan.outputs / (out_h * out_w);
-                    if resident {
-                        // Weight-stationary row-reuse schedule: the
-                        // kernel input rows a row of output pixels reads
-                        // stay resident in the FF buffer (halo rows
-                        // reused across output rows), windows gather from
-                        // the staged rows, and evaluation batches
-                        // chunk_pixels output pixels so each tile's latch
-                        // load amortizes over the whole chunk. The fixed
-                        // chunk-then-tile-then-pixel order keeps per-bank
-                        // RNG draws identical across the serial, batched,
-                        // and pipelined engines.
-                        let window_rows = in_ch * kernel * kernel;
-                        let slot_w = in_ch * in_w;
-                        let ring_base = plan.in_addr.0;
-                        let chunk_addr = BufAddr(ring_base + (kernel * slot_w) as u64);
-                        ring.clear();
-                        ring.resize(kernel * slot_w, 0);
-                        let mut staged_rows = 0usize;
-                        for oy in 0..out_h {
-                            // Stage the not-yet-resident input rows this
-                            // output row reads; rows staged for earlier
-                            // output rows are the reused halo.
-                            let need = (oy + kernel).saturating_sub(padding).min(in_h);
-                            let t = phase_mark(conv_phases.is_some());
-                            while staged_rows < need {
-                                let iy = staged_rows;
-                                let slot = (iy % kernel) * slot_w;
-                                for ic in 0..in_ch {
-                                    let base = (ic * in_h + iy) * in_w;
-                                    bank.buffer_mut().store(
-                                        BufAddr(ring_base + (slot + ic * in_w) as u64),
-                                        &codes[base..base + in_w],
-                                    )?;
-                                }
-                                // Read the slot back: gathers consume the
-                                // buffer-resident rows through the
-                                // scratch mirror.
-                                bank.buffer_mut().load_into(
-                                    BufAddr(ring_base + slot as u64),
-                                    slot_w,
-                                    row_slot,
-                                )?;
-                                ring[slot..slot + slot_w].copy_from_slice(row_slot);
-                                staged_rows += 1;
-                            }
-                            phase_add(&mut conv_phases, t, |ph| &mut ph.stage_ns);
-                            let mut ox0 = 0usize;
-                            while ox0 < out_w {
-                                let cp = chunk_pixels.min(out_w - ox0);
-                                let t = phase_mark(conv_phases.is_some());
-                                win_chunk.clear();
-                                for p in 0..cp {
-                                    Self::gather_window_from_ring(
-                                        &plan.op, ring, oy, ox0 + p, win_chunk,
-                                    );
-                                }
-                                phase_add(&mut conv_phases, t, |ph| &mut ph.gather_ns);
-                                let t = phase_mark(conv_phases.is_some());
-                                bank.buffer_mut().store(chunk_addr, win_chunk)?;
-                                phase_add(&mut conv_phases, t, |ph| &mut ph.stage_ns);
-                                let t = phase_mark(conv_phases.is_some());
-                                chunk_acc.clear();
-                                chunk_acc.resize_with(cp * out_ch, PrecisionController::new);
-                                for p in 0..cp {
-                                    let regs = &mut chunk_acc[p * out_ch..(p + 1) * out_ch];
-                                    for (o, &b) in regs.iter_mut().zip(&plan.bias_units) {
-                                        o.accumulate(b, 0);
-                                    }
-                                }
-                                for tile in &plan.tiles {
-                                    let (r0, r1) = tile.rows;
-                                    // One latch load serves every pixel
-                                    // of the chunk for this tile.
-                                    bank.execute(Command::Load {
-                                        from: chunk_addr,
-                                        to: FfAddr { mat: tile.mat, offset: 0 },
-                                        bytes: (win_chunk.len() * 8) as u64,
-                                    })?;
-                                    let (c0, c1) = tile.cols;
-                                    for p in 0..cp {
-                                        let win = &win_chunk
-                                            [p * window_rows + r0..p * window_rows + r1];
-                                        bank.compute_mat_words_into(
-                                            tile.mat,
-                                            win,
-                                            bank_scratch,
-                                            tile_out,
-                                        )?;
-                                        for (i, &v) in
-                                            tile_out.iter().enumerate().take(c1 - c0)
-                                        {
-                                            chunk_acc[p * out_ch + c0 + i]
-                                                .accumulate(v, tile.shift);
-                                        }
-                                    }
-                                }
-                                phase_add(&mut conv_phases, t, |ph| &mut ph.eval_ns);
-                                let t = phase_mark(conv_phases.is_some());
-                                for p in 0..cp {
-                                    let ox = ox0 + p;
-                                    for oc in 0..out_ch {
-                                        Self::emit(
-                                            plan,
-                                            final_unit,
-                                            fwd_code_max,
-                                            (oc * out_h + oy) * out_w + ox,
-                                            chunk_acc[p * out_ch + oc].value(),
-                                            next_codes,
-                                            &mut final_out,
-                                        );
-                                    }
-                                }
-                                phase_add(&mut conv_phases, t, |ph| &mut ph.emit_ns);
-                                ox0 += cp;
-                            }
-                        }
-                    } else {
-                        // Per-pixel fallback (diagnostic P020): the row
-                        // ring exceeds the residency budget, so every
-                        // output pixel stages its full im2col window.
-                        // Output pixels outer, tiles inner keeps per-bank
-                        // RNG draws identical across engines.
-                        for oy in 0..out_h {
-                            for ox in 0..out_w {
-                                let t = phase_mark(conv_phases.is_some());
-                                Self::gather_window(&plan.op, codes, oy, ox, window);
-                                phase_add(&mut conv_phases, t, |ph| &mut ph.gather_ns);
-                                let t = phase_mark(conv_phases.is_some());
-                                bank.buffer_mut().store(plan.in_addr, window)?;
-                                phase_add(&mut conv_phases, t, |ph| &mut ph.stage_ns);
-                                let t = phase_mark(conv_phases.is_some());
-                                Self::merge_reference_into(
-                                    &plan.tiles,
-                                    bank,
-                                    window,
-                                    out_ch,
-                                    &plan.bias_units,
-                                    merge_acc,
-                                    bank_scratch,
-                                    tile_out,
-                                    merged,
-                                )?;
-                                phase_add(&mut conv_phases, t, |ph| &mut ph.eval_ns);
-                                let t = phase_mark(conv_phases.is_some());
-                                for (oc, &v) in merged.iter().enumerate() {
-                                    Self::emit(
-                                        plan,
-                                        final_unit,
-                                        fwd_code_max,
-                                        (oc * out_h + oy) * out_w + ox,
-                                        v,
-                                        next_codes,
-                                        &mut final_out,
-                                    );
-                                }
-                                phase_add(&mut conv_phases, t, |ph| &mut ph.emit_ns);
-                            }
-                        }
-                    }
-                }
-                PlannedOp::Pool { channels, in_h, in_w, window: win, .. } => {
-                    let (oh, ow) = (in_h / win, in_w / win);
-                    for c in 0..channels {
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                Self::gather_pool_window(&plan.op, codes, c, oy, ox, window);
-                                // Stage the candidates for the pooling
-                                // unit's registers.
-                                bank.buffer_mut().store(plan.in_addr, window)?;
-                                let m = Self::pool_reduce(&plan.op, window)?;
-                                Self::emit(
-                                    plan,
-                                    final_unit,
-                                    fwd_code_max,
-                                    (c * oh + oy) * ow + ox,
-                                    m,
-                                    next_codes,
-                                    &mut final_out,
-                                );
-                            }
-                        }
-                    }
-                }
+                codes.clear();
+                codes.extend(scratch.merged.iter().map(|&v| {
+                    Self::next_code(plan.activation, plan.requant_shift, code_max, v)
+                }));
             }
+            phase_add(&mut phases, t, |ph| &mut ph.emit_ns);
             if let (Some(started), Some(sink)) = (stopwatch, layer_ns.as_deref_mut()) {
                 sink.push(started.elapsed().as_secs_f64() * 1e9);
             }
-            if is_final {
-                return Ok(());
-            }
-            std::mem::swap(codes, next_codes);
             // FC activations are buffer-resident between layers; conv and
             // pool feature maps stay in the Mem subarrays (only windows
             // and boundary bursts touch the buffer).
-            if matches!(plan.op, PlannedOp::Fc) {
+            if !is_final && matches!(plan.op, ProgramOp::Fc) {
                 bank.buffer_mut().store(plan.out_addr, codes)?;
             }
         }
@@ -2062,9 +1693,15 @@ mod tests {
         let mut controller = BankController::new(2, 8, 4096, 8192);
         let runner = CommandRunner::compile(&net, &mut controller, &input).unwrap();
         let before = controller.commands_issued();
+        let written = controller.buffer().words_written();
         runner.infer(&mut controller, &input).unwrap();
         // One `load` per FC tile: the tile count is the command stream.
         assert_eq!(controller.commands_issued() - before, runner.mats_used() as u64);
+        // Buffer writes: the 20 input codes staged, the 12 hidden codes
+        // stored as layer 0's output and staged as layer 1's input. Tiles
+        // load their row slices from the staged input; nothing else is
+        // written.
+        assert_eq!(controller.buffer().words_written() - written, 20 + 12 + 12);
         assert!(controller
             .log()
             .iter()
@@ -2122,7 +1759,7 @@ mod tests {
             let padding = pad.min(kernel.saturating_sub(1));
             let out_h = in_h + 2 * padding - kernel + 1;
             let out_w = in_w + 2 * padding - kernel + 1;
-            let op = PlannedOp::Conv {
+            let op = ProgramOp::Conv {
                 in_ch,
                 out_ch: 1,
                 kernel,
@@ -2154,6 +1791,7 @@ mod tests {
                 }
                 for ox in 0..out_w {
                     from_ring.clear();
+                    naive.clear();
                     CommandRunner::gather_window_from_ring(&op, &ring, oy, ox, &mut from_ring);
                     CommandRunner::gather_window(&op, &codes, oy, ox, &mut naive);
                     proptest::prop_assert_eq!(
@@ -2192,14 +1830,14 @@ mod tests {
         assert!(
             matches!(
                 resident_runner.layers[0].op,
-                PlannedOp::Conv { resident: true, chunk_pixels: 10, .. }
+                ProgramOp::Conv { resident: true, chunk_pixels: 10, .. }
             ),
             "4096-word buffer must take the weight-stationary schedule"
         );
         assert!(
             matches!(
                 fallback_runner.layers[0].op,
-                PlannedOp::Conv { resident: false, chunk_pixels: 1, .. }
+                ProgramOp::Conv { resident: false, chunk_pixels: 1, .. }
             ),
             "1024-word buffer must fall back to per-pixel staging"
         );

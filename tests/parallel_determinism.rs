@@ -393,17 +393,52 @@ fn output_hash(outputs: &[Vec<f32>]) -> u64 {
     hash
 }
 
+/// A conv with 130 output maps, so its kernel matrix spans two column
+/// tiles, pooled down to a 130→10 FC head. With a single tile every conv
+/// draw order reads the same noise; with two, "chunk, then tile, then
+/// pixel" and "pixel, then tile" draw differently.
+fn wide_conv_net(seed: u64) -> Network {
+    let mut net = Network::new(vec![
+        Layer::Conv(Conv2d::new(1, 130, 3, 16, 16, 1, Activation::Relu)),
+        Layer::Pool(Pool2d::new(PoolKind::Max, 130, 16, 16, 4)),
+        Layer::Pool(Pool2d::new(PoolKind::Max, 130, 4, 4, 4)),
+        Layer::Fc(FullyConnected::new(130, 10, Activation::Identity)),
+    ])
+    .expect("widths match");
+    net.init_random(&mut SmallRng::seed_from_u64(seed));
+    net
+}
+
+fn wide_conv_batch(len: usize) -> Vec<Vec<f32>> {
+    (0..len)
+        .map(|i| (0..256).map(|j| ((i * 5 + j * 7) % 13) as f32 / 13.0).collect())
+        .collect()
+}
+
 /// Golden outputs. Every other test here compares one engine with another,
 /// so a change that moved every engine at once (say, the conv read-noise
 /// draw order: chunk, then tile, then pixel) would pass them all. These
 /// hashes pin the absolute output bits, digital and seeded-noisy, on both
-/// engines.
+/// engines. The wide conv runs on two buffer sizes: 2048 words keeps its
+/// input rows resident and evaluates 16-pixel chunks, 640 words forces
+/// the per-pixel fallback.
 #[test]
 fn outputs_match_pinned_golden_hashes() {
     let noise = NoiseModel { program_sigma: 0.0, read_sigma: 0.05 };
     let cnn_system = |banks, ff_subarrays, mats, seed| {
         let mut system = PrimeSystem::new(banks, ff_subarrays, mats, 2048);
         system.deploy(&cnn_net(seed), &cnn_calibration()).expect("fits");
+        system
+    };
+    let wide_conv_system = |buffer_words| {
+        let staging = prime::analyze::conv_staging(1, 3, 16, 16, buffer_words);
+        assert_eq!(
+            (staging.resident, staging.chunk_pixels),
+            if buffer_words == 2048 { (true, 16) } else { (false, 1) },
+            "wide conv staging on a {buffer_words}-word buffer"
+        );
+        let mut system = PrimeSystem::new(2, 2, 4, buffer_words);
+        system.deploy(&wide_conv_net(47), &wide_conv_batch(1)[0]).expect("fits");
         system
     };
     // (name, system, inputs, (digital hash, noisy hash)). Re-pin only for
@@ -432,6 +467,18 @@ fn outputs_match_pinned_golden_hashes() {
             cnn_system(2, 1, 1, 43),
             cnn_batch(5),
             (0xaefd_6a4f_24ef_79da, 0x75ff_c74e_dd38_290b),
+        ),
+        (
+            "wide_conv_net, resident chunks",
+            wide_conv_system(2048),
+            wide_conv_batch(3),
+            (0x1214_2df9_69f4_e0cd, 0xda9d_6e5a_79fb_91f1),
+        ),
+        (
+            "wide_conv_net, per-pixel fallback",
+            wide_conv_system(640),
+            wide_conv_batch(3),
+            (0x1214_2df9_69f4_e0cd, 0xe0ff_fe20_bb02_9694),
         ),
     ];
     for (name, mut system, inputs, pinned) in cases {

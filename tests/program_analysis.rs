@@ -8,13 +8,13 @@
 use proptest::prelude::*;
 
 use prime::analyze::{
-    analyze_program, lower_program, Code, ProgramPlan, ProgramTile, Severity, Target,
+    analyze_program, lower_program, Code, ProgramOp, ProgramPlan, ProgramTile, Severity, Target,
 };
-use prime::compiler::{map_network, CompileOptions, NetworkMapping};
-use prime::core::{PrimeError, PrimeSystem};
+use prime::compiler::{map_network, CompileOptions, HwTarget, NetworkMapping};
+use prime::core::{BankController, CommandRunner, PrimeError, PrimeSystem};
 use prime::device::NoiseModel;
 use prime::nn::{
-    Activation, Conv2d, FullyConnected, Layer, MlBench, Network, NetworkSpec, Pool2d,
+    Activation, Conv2d, FullyConnected, Layer, LayerSpec, MlBench, Network, NetworkSpec, Pool2d,
     PoolKind,
 };
 
@@ -54,6 +54,104 @@ fn lowered_workload_plans_are_clean() {
             prime::analyze::render_human(&diags)
         );
     }
+}
+
+/// `lower_program` derives its stage spans and buffer addressing from
+/// shapes alone and promises they match what `CommandRunner` compiles;
+/// the static Pass-3 audit (`analyze_workloads --program`) trusts that.
+/// Each network here is compiled and calibrated for real, and its
+/// exported plan is compared with the lowered one. Shifts differ by
+/// design (calibrated versus worst case). Tile counts differ in one
+/// pinned way: the compiler and verifier charge a bias row (`rows + 1`
+/// rows per layer) that the runner never programs, because it adds bias
+/// in the merge register, so a layer whose rows exactly fill its mats
+/// gets one more row of tiles from `lower_program`.
+#[test]
+fn lowered_plans_mirror_the_compiled_runner() {
+    let default = Target::prime_default();
+    let cases = [
+        (MlBench::MlpS.name(), MlBench::MlpS.spec(), default.clone()),
+        (MlBench::MlpM.name(), MlBench::MlpM.spec(), default.clone()),
+        (MlBench::MlpL.name(), MlBench::MlpL.spec(), default.clone()),
+        (MlBench::Cnn1.name(), MlBench::Cnn1.spec(), default.clone()),
+        (MlBench::Cnn2.name(), MlBench::Cnn2.spec(), default.clone()),
+        // Too small to keep CNN-1's conv rows resident: the per-pixel
+        // fallback.
+        (
+            "CNN-1, 1024-word buffer",
+            MlBench::Cnn1.spec(),
+            Target { buffer_words: 1024, ..default.clone() },
+        ),
+        (
+            "VGG-D-class",
+            fc_spec("VGG-D-class", &[192, 384, 384, 384, 256, 128, 64, 10]),
+            Target {
+                hw: HwTarget {
+                    mats_per_ff_subarray: 8,
+                    ff_subarrays_per_bank: 1,
+                    banks: 4,
+                    ..default.hw
+                },
+                buffer_words: 8192,
+                ..default.clone()
+            },
+        ),
+    ];
+    let mut bias_row_tiles = Vec::new();
+    for (name, spec, target) in cases {
+        let mut net = spec.to_network().expect("executable workload");
+        net.init_random(&mut SmallRng::seed_from_u64(3));
+        let mapping = map_network(&spec, &target.hw, DEPLOY_OPTIONS).expect("workload maps");
+        let lowered = lower_program(&spec, &target, &mapping).expect("workload lowers");
+        let hw = target.hw;
+        let banks = mapping.pipeline.iter().map(|s| s.bank + 1).max().unwrap_or(1);
+        let mut banks: Vec<BankController> = (0..banks)
+            .map(|_| {
+                let (subarrays, mats) = (hw.ff_subarrays_per_bank, hw.mats_per_ff_subarray);
+                BankController::new(subarrays, mats, target.buffer_words, 64)
+            })
+            .collect();
+        let calibration = vec![0.5f32; net.inputs()];
+        let runner =
+            CommandRunner::compile_pipeline(&net, &mut banks, &mapping.pipeline, &calibration)
+                .expect("compiles");
+        let compiled = runner.program_plan(&banks);
+        assert_eq!(compiled.stages, lowered.stages, "{name}: stages");
+        assert_eq!(compiled.buffer_words, lowered.buffer_words, "{name}: buffer words");
+        assert_eq!(compiled.recycle_credits, lowered.recycle_credits, "{name}: credits");
+        assert_eq!(compiled.layers.len(), lowered.layers.len(), "{name}: layers");
+        for (i, (c, l)) in compiled.layers.iter().zip(&lowered.layers).enumerate() {
+            assert_eq!(
+                (c.op, c.inputs, c.outputs, c.in_addr, c.out_addr),
+                (l.op, l.inputs, l.outputs, l.in_addr, l.out_addr),
+                "{name} layer {i}"
+            );
+            let (rows, features) = match c.op {
+                ProgramOp::Fc => (c.inputs, c.outputs),
+                ProgramOp::Conv { in_ch, out_ch, kernel, .. } => (in_ch * kernel * kernel, out_ch),
+                ProgramOp::Pool { .. } => continue,
+            };
+            let col_tiles = features.div_ceil(hw.mat_cols);
+            let programmed = rows.div_ceil(hw.mat_rows) * col_tiles;
+            let charged = (rows + 1).div_ceil(hw.mat_rows) * col_tiles;
+            assert_eq!(c.tiles.len(), programmed, "{name} layer {i}");
+            assert_eq!(l.tiles.len(), charged, "{name} layer {i}: plus a bias row");
+            if c.tiles.len() != l.tiles.len() {
+                bias_row_tiles.push((name, i, c.tiles.len(), l.tiles.len()));
+            }
+        }
+    }
+    // Only VGG-D-class's 256→128 layer has rows that fill whole mats.
+    assert_eq!(bias_row_tiles, vec![("VGG-D-class", 4, 1, 2)]);
+}
+
+/// The spec of a fully-connected stack.
+fn fc_spec(name: &str, widths: &[usize]) -> NetworkSpec {
+    let layers = widths
+        .windows(2)
+        .map(|w| LayerSpec::FullyConnected { inputs: w[0], outputs: w[1] })
+        .collect();
+    NetworkSpec::new(name, layers).expect("widths chain")
 }
 
 #[test]

@@ -139,15 +139,8 @@ pub fn static_shift(out_max: i128, scheme: &ComposingScheme) -> u8 {
 /// as an unbounded interval so the register-fit proof fails loudly
 /// rather than silently.
 pub(crate) fn merged_interval(layer: &ProgramLayer, act: Interval, w_max: i128) -> Interval {
-    let bias = Interval::symmetric(i128::from(layer.bias_peak));
-    let dot_rows = match layer.op {
-        ProgramOp::Fc => Some(layer.inputs),
-        ProgramOp::Conv { in_ch, kernel, .. } => Some(in_ch * kernel * kernel),
-        ProgramOp::Pool { .. } => None,
-    };
-    match layer.op {
-        ProgramOp::Fc | ProgramOp::Conv { .. } => {
-            let rows = dot_rows.unwrap_or(0);
+    match (layer.weight_shape(), layer.op) {
+        (Some((rows, _)), _) => {
             let input_max = i64::try_from(act.abs_max()).unwrap_or(i64::MAX);
             let weight_max = i64::try_from(w_max).unwrap_or(i64::MAX);
             let (lo, hi) = PairedCrossbar::sense_interval(rows, input_max, weight_max);
@@ -158,20 +151,17 @@ pub(crate) fn merged_interval(layer: &ProgramLayer, act: Interval, w_max: i128) 
             } else {
                 Interval { lo: i128::from(lo), hi: i128::from(hi) }
             };
-            dot.plus(bias)
+            dot.plus(Interval::symmetric(i128::from(layer.bias_peak)))
         }
-        ProgramOp::Pool { mean, window, level, .. } => {
-            if mean {
-                // level * sum of n window codes.
-                let n = i128::from((window * window) as u64);
-                let l = i128::from(level);
-                let scaled = Interval { lo: act.lo * n * l, hi: act.hi * n * l };
-                Interval { lo: scaled.lo.min(scaled.hi), hi: scaled.lo.max(scaled.hi) }
-            } else {
-                // Winner-code max selects among existing codes.
-                act
-            }
+        (None, ProgramOp::Pool { mean: true, window, level, .. }) => {
+            // level * sum of n window codes.
+            let n = i128::from((window * window) as u64);
+            let l = i128::from(level);
+            let scaled = Interval { lo: act.lo * n * l, hi: act.hi * n * l };
+            Interval { lo: scaled.lo.min(scaled.hi), hi: scaled.lo.max(scaled.hi) }
         }
+        // Winner-code max selects among existing codes.
+        (None, _) => act,
     }
 }
 

@@ -22,9 +22,11 @@
 //!   interprets the lowered command program (the runner's planned-op
 //!   stream) over four abstract domains — FF-buffer region dataflow,
 //!   §III-D interval precision propagation, shared-tile aliasing, and
-//!   stage-channel deadlock freedom. `PrimeSystem::deploy` gates on it
-//!   like Pass 1; [`lower_program`] derives the plan statically for
-//!   workload audits.
+//!   stage-channel deadlock freedom. [`lower_layout`] is the one
+//!   lowering of a network onto its banks: `CommandRunner` compiles
+//!   exactly the plan it derives, and [`lower_program`] bounds that
+//!   plan's shifts statically for workload audits. `PrimeSystem::deploy`
+//!   gates on this pass like Pass 1.
 //!
 //! Diagnostics carry stable `P0xx` codes cataloged in DESIGN.md §10;
 //! all passes render human-readable and JSON output in a canonical
@@ -63,8 +65,8 @@ pub use intervals::{
 };
 pub use lint::{lint_root, lint_source, AllowEntry, Allowlist};
 pub use program::{
-    analyze_program, lower_program, ProgramLayer, ProgramOp, ProgramPlan, ProgramStage,
-    ProgramTile,
+    analyze_program, lower_layout, lower_program, tile_spans, ProgramLayer, ProgramOp,
+    ProgramPlan, ProgramStage, ProgramTile,
 };
 pub use verify::{
     analyze, check_pipeline, check_shared_layout, conv_staging, shared_layout, ConvStaging,

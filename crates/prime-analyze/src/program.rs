@@ -33,17 +33,17 @@
 //! `analyze_workloads --program` runs it statically over every MlBench
 //! workload.
 
-use prime_circuits::mean_pool_weights;
-use prime_compiler::{pipeline_credits, NetworkMapping};
+use prime_circuits::{mean_pool_weights, ComposingScheme};
+use prime_compiler::{pipeline_credits, NetworkMapping, PipelineStage};
 use prime_nn::{LayerSpec, NetworkSpec, PoolKind};
 
 use crate::diag::{sort_diagnostics, Code, Diagnostic, Span};
 use crate::intervals::{static_shift, Interval};
 use crate::verify::{conv_staging, Target, WINDOW_IO_CHUNK_WORDS};
 
-/// What one planned layer computes per crossbar evaluation. The
-/// runner plans with this type too, so an exported plan carries the
-/// runner's own ops.
+/// What one planned layer computes per crossbar evaluation, as
+/// [`lower_layout`] derives it for the runner and the static audit
+/// alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgramOp {
     /// Fully-connected: one evaluation over the whole input vector.
@@ -90,9 +90,9 @@ pub enum ProgramOp {
 
 impl ProgramOp {
     /// Words of FF buffer the op's input staging region occupies — the
-    /// accounting the runner lays out its buffer by: the full input
-    /// vector for FC, the row ring plus window chunk for a resident conv,
-    /// one im2col / pooling window otherwise.
+    /// accounting [`lower_layout`] lays out each stage's buffer by: the
+    /// full input vector for FC, the row ring plus window chunk for a
+    /// resident conv, one im2col / pooling window otherwise.
     pub fn staging_words(&self, inputs: usize) -> usize {
         match *self {
             ProgramOp::Fc => inputs,
@@ -157,6 +157,22 @@ pub struct ProgramLayer {
     pub tiles: Vec<ProgramTile>,
 }
 
+impl ProgramLayer {
+    /// The `(rows, features)` weight matrix the layer programs onto its
+    /// tiles (the input vector by the outputs for FC, one im2col window
+    /// by the output maps for conv), or `None` for pooling, which uses
+    /// no mats. No bias row: the runner adds bias in the merge register.
+    pub fn weight_shape(&self) -> Option<(usize, usize)> {
+        match self.op {
+            ProgramOp::Fc => Some((self.inputs, self.outputs)),
+            ProgramOp::Conv { in_ch, out_ch, kernel, .. } => {
+                Some((in_ch * kernel * kernel, out_ch))
+            }
+            ProgramOp::Pool { .. } => None,
+        }
+    }
+}
+
 /// One pipeline stage of the plan: a contiguous layer span on one bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgramStage {
@@ -166,10 +182,11 @@ pub struct ProgramStage {
     pub layers: (usize, usize),
 }
 
-/// The lowered command program, as the abstract interpreter sees it:
-/// either exported from a compiled `CommandRunner` (deploy-time gating,
-/// exact calibrated shifts and live tile states) or derived statically
-/// by [`lower_program`] (workload auditing without touching a bank).
+/// The lowered command program, as the abstract interpreter sees it.
+/// [`lower_layout`] derives its layout; a compiled `CommandRunner`
+/// exports it with calibrated shifts and live tile states (deploy-time
+/// gating), and [`lower_program`] with worst-case shifts (workload
+/// auditing without touching a bank).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramPlan {
     /// Planned layers, in execution order across all stages.
@@ -182,36 +199,37 @@ pub struct ProgramPlan {
     pub recycle_credits: usize,
 }
 
-/// Statically lowers `(spec, mapping)` into the [`ProgramPlan`] the
-/// runner would compile, without programming a single mat: ops, stage
-/// spans and buffer addressing mirror `CommandRunner::compile_pipeline`
-/// exactly (the cursor arithmetic depends only on shapes; the workspace
-/// test `lowered_plans_mirror_the_compiled_runner` compares the two),
-/// and requantization shifts are derived from the interval analysis's
-/// own worst-case bounds instead of a calibration pass. Bias magnitudes
-/// are modeled at the dot-span bound (§III-D assumes bias never
-/// dominates the dot product). Tile counts follow the mapping, which
-/// charges each weight layer a bias row the runner does not program, so
-/// a layer whose rows exactly fill its mats lowers to one more row of
-/// tiles than the runner places.
+/// The one lowering of a network onto a bank group: maps `spec` onto
+/// the stage spans of `pipeline` (one stage on bank 0 when it is empty)
+/// and gives every layer its op, widths, buffer addresses (the cursor
+/// restarts at every stage, which owns its bank's Buffer subarray) and
+/// one tile per [`tile_spans`] entry on `mat`-sized mats. Conv staging
+/// follows [`conv_staging`] for `buffer_words`. `CommandRunner` compiles
+/// exactly this plan and calibrates its shifts, ReLU flags and bias
+/// peaks; [`lower_program`] bounds them statically instead. The stage
+/// list is taken as given: [`check_pipeline`](crate::check_pipeline)
+/// gates it at runtime, [`analyze_program`]'s stage-graph check
+/// statically.
 ///
 /// # Errors
 ///
-/// Returns a human-readable reason for layers that have no in-memory
-/// lowering (LRN falls back to the host — [`Code::P015`] territory, not
-/// this pass's).
-pub fn lower_program(
+/// Returns a human-readable reason for a layer with no in-memory
+/// lowering: LRN falls back to the host ([`Code::P015`] territory, not
+/// this pass's), and a mean pool too wide for a nonzero 1/n level has
+/// no mux programming.
+pub fn lower_layout(
     spec: &NetworkSpec,
-    target: &Target,
-    mapping: &NetworkMapping,
+    pipeline: &[PipelineStage],
+    buffer_words: usize,
+    mat: (usize, usize),
+    scheme: &ComposingScheme,
 ) -> Result<ProgramPlan, String> {
     let n_layers = spec.layers().len();
-    let stages: Vec<ProgramStage> = if mapping.pipeline.is_empty() {
+    let stages: Vec<ProgramStage> = if pipeline.is_empty() {
         vec![ProgramStage { bank: 0, layers: (0, n_layers) }]
     } else {
         let mut next = 0usize;
-        mapping
-            .pipeline
+        pipeline
             .iter()
             .map(|ps| {
                 let start = next;
@@ -220,10 +238,6 @@ pub fn lower_program(
             })
             .collect()
     };
-    let scheme = &target.scheme;
-    let code_max = i128::from(scheme.input_code_max());
-    let w_max = crate::intervals::weight_magnitude(target);
-    let mut act = Interval { lo: 0, hi: code_max };
     let mut layers = Vec::with_capacity(n_layers);
     for stage in &stages {
         let mut buf_cursor = 0u64;
@@ -237,8 +251,7 @@ pub fn lower_program(
                     let (out_h, out_w) = layer_spec
                         .conv_out_dims()
                         .unwrap_or((1, 1));
-                    let staging =
-                        conv_staging(in_ch, kernel, in_w, out_w, target.buffer_words);
+                    let staging = conv_staging(in_ch, kernel, in_w, out_w, buffer_words);
                     ProgramOp::Conv {
                         in_ch,
                         out_ch,
@@ -254,10 +267,12 @@ pub fn lower_program(
                 }
                 LayerSpec::Pool { kind, channels, in_h, in_w, window } => {
                     let mean = kind == PoolKind::Mean;
+                    // The quantized 1/n reciprocal the mux cells program;
+                    // rescaling divides it back out.
                     let level = if mean {
                         mean_pool_weights(window * window, scheme.weight_half_bits())
                             .map(|w| i64::from(w[0]))
-                            .unwrap_or(1)
+                            .map_err(|e| format!("layer {index}: {e}"))?
                     } else {
                         0
                     };
@@ -269,42 +284,82 @@ pub fn lower_program(
                     ));
                 }
             };
-            let (inputs, outputs) = (layer_spec.inputs(), layer_spec.outputs());
-            let base_mats = mapping.layers.get(index).map_or(0, |l| l.base_mats);
+            let inputs = layer_spec.inputs();
             let mut layer = ProgramLayer {
                 op,
                 inputs,
-                outputs,
+                outputs: layer_spec.outputs(),
                 in_addr: buf_cursor,
                 out_addr: buf_cursor + op.staging_words(inputs) as u64,
                 requant_shift: 0,
-                // Activations are unknown at spec level; no ReLU is the
-                // sound over-approximation (wider interval).
                 relu: false,
                 bias_peak: 0,
-                tiles: vec![
-                    ProgramTile { aliased: false, write_armed: false };
-                    base_mats
-                ],
+                tiles: Vec::new(),
             };
+            let tiles = layer.weight_shape().map_or(0, |shape| tile_spans(shape, mat).count());
+            layer.tiles = vec![ProgramTile { aliased: false, write_armed: false }; tiles];
             buf_cursor = layer.out_addr;
-            // Bias bound at the dot span, then the shift the runner's
-            // `bits - Pin` calibration would pick for the worst case.
-            let dot = crate::intervals::merged_interval(&layer, act, w_max);
-            layer.bias_peak = i64::try_from(dot.abs_max()).unwrap_or(i64::MAX);
-            let merged = crate::intervals::merged_interval(&layer, act, w_max);
-            let needs_shift = !matches!(op, ProgramOp::Pool { mean: false, .. });
-            if needs_shift {
-                layer.requant_shift = static_shift(merged.abs_max(), scheme);
-            }
-            act = merged
-                .shift_right(u32::from(layer.requant_shift).min(63))
-                .clamp(-code_max, code_max);
             layers.push(layer);
         }
     }
-    let credits = pipeline_credits(stages.len());
-    Ok(ProgramPlan { layers, stages, buffer_words: target.buffer_words, recycle_credits: credits })
+    let recycle_credits = pipeline_credits(stages.len());
+    Ok(ProgramPlan { layers, stages, buffer_words, recycle_credits })
+}
+
+/// The mat tiles a `(rows, features)` weight matrix occupies on
+/// `(mat_rows, mat_cols)` mats, as `(row span, column span)` pairs of
+/// `[start, end)` ranges, row tiles outer: the order the runner
+/// allocates mats in.
+pub fn tile_spans(
+    (rows, features): (usize, usize),
+    (mat_rows, mat_cols): (usize, usize),
+) -> impl Iterator<Item = ((usize, usize), (usize, usize))> {
+    let (mat_rows, mat_cols) = (mat_rows.max(1), mat_cols.max(1));
+    (0..rows).step_by(mat_rows).flat_map(move |r0| {
+        (0..features).step_by(mat_cols).map(move |c0| {
+            ((r0, (r0 + mat_rows).min(rows)), (c0, (c0 + mat_cols).min(features)))
+        })
+    })
+}
+
+/// Statically lowers `(spec, mapping)` into the [`ProgramPlan`] the
+/// runner compiles, without programming a single mat: the layout is
+/// [`lower_layout`]'s, and requantization shifts come from the interval
+/// analysis's own worst-case bounds instead of a calibration pass. Bias
+/// magnitudes are modeled at the dot-span bound (§III-D assumes bias
+/// never dominates the dot product), and no layer is taken to apply
+/// ReLU (activations are unknown at spec level; the wider interval is
+/// the sound one). Tile counts are the runner's: the mapping's mat
+/// budget, which adds a bias row, can exceed them.
+///
+/// # Errors
+///
+/// As [`lower_layout`].
+pub fn lower_program(
+    spec: &NetworkSpec,
+    target: &Target,
+    mapping: &NetworkMapping,
+) -> Result<ProgramPlan, String> {
+    let scheme = &target.scheme;
+    let mat = (target.hw.mat_rows, target.hw.mat_cols);
+    let mut plan = lower_layout(spec, &mapping.pipeline, target.buffer_words, mat, scheme)?;
+    let code_max = i128::from(scheme.input_code_max());
+    let w_max = crate::intervals::weight_magnitude(target);
+    let mut act = Interval { lo: 0, hi: code_max };
+    for layer in &mut plan.layers {
+        // Bias bound at the dot span, then the shift the runner's
+        // `bits - Pin` calibration would pick for the worst case.
+        let dot = crate::intervals::merged_interval(layer, act, w_max);
+        layer.bias_peak = i64::try_from(dot.abs_max()).unwrap_or(i64::MAX);
+        let merged = crate::intervals::merged_interval(layer, act, w_max);
+        if !matches!(layer.op, ProgramOp::Pool { mean: false, .. }) {
+            layer.requant_shift = static_shift(merged.abs_max(), scheme);
+        }
+        act = merged
+            .shift_right(u32::from(layer.requant_shift).min(63))
+            .clamp(-code_max, code_max);
+    }
+    Ok(plan)
 }
 
 /// Pass 3(a): word-granular FF-buffer region dataflow.

@@ -35,18 +35,14 @@ pub enum NnScale {
 
 /// What the mapping search optimizes for.
 ///
-/// `Fixed` reproduces the pre-search behavior exactly: no candidate
-/// enumeration, the paper's default placement. `Latency` enumerates
-/// pipeline-split candidates, keeps only those the Pass 1–3 verifiers
-/// accept, scores each with a `MappingCostModel` implementation
-/// (`prime-core`), and deploys the argmin. Candidates are ordered
-/// fixed-default-first and the argmin keeps the first of any tie, so a
-/// search that finds nothing better than the default degrades to the
-/// `Fixed` placement byte-for-byte.
+/// The search enumerates pipeline-split candidates, keeps only those the
+/// Pass 1–3 verifiers accept, scores each with a `MappingCostModel`
+/// implementation (`prime-core`), and deploys the argmin. Candidates are
+/// ordered fixed-default-first and the argmin keeps the first of any
+/// tie, so a search that finds nothing better than the paper's default
+/// placement deploys it byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Objective {
-    /// No search: compile with the paper-default knobs (bit-compat path).
-    Fixed,
     /// Minimize the pipeline-interval / per-image latency estimate.
     Latency,
 }
@@ -55,7 +51,6 @@ impl Objective {
     /// Stable lowercase name, for reports and CLI flags.
     pub fn name(&self) -> &'static str {
         match self {
-            Objective::Fixed => "fixed",
             Objective::Latency => "latency",
         }
     }
@@ -770,7 +765,6 @@ mod tests {
 
     #[test]
     fn objective_names_are_stable() {
-        assert_eq!(Objective::Fixed.name(), "fixed");
         assert_eq!(Objective::Latency.name(), "latency");
     }
 }

@@ -35,7 +35,7 @@ struct MigratedMat {
     rows: Vec<Vec<bool>>,
 }
 
-/// Reusable buffers for [`BankController::compute_mat_into`].
+/// Reusable buffers for [`BankController::compute_windows_into`].
 ///
 /// Holds the clamped input codes, the mat-level scratch, and the raw
 /// composed outputs. Buffers only grow (the `prime-device` scratch-buffer
@@ -82,14 +82,15 @@ pub struct BankController {
     mem_space: Vec<i64>,
     /// Input latches staged by `load` commands.
     latches: HashMap<(usize, usize), Vec<i64>>,
-    /// Output registers filled by mat computation, drained by `store`.
+    /// Output registers filled by [`compute_mat`](Self::compute_mat),
+    /// drained by `store`.
     outputs: HashMap<(usize, usize), Vec<i64>>,
     /// Per-mat input-source selection.
     input_sources: HashMap<(usize, usize), InputSource>,
     /// Data migrated out of FF subarrays during computation.
     migrated: HashMap<(usize, usize), MigratedMat>,
     /// Recycled latch storage: `load` reuses the vector the previous
-    /// `compute_mat` consumed, so steady-state staging allocates nothing.
+    /// compute consumed, so steady-state staging allocates nothing.
     spare_latch: Vec<i64>,
     /// The most recent commands executed, oldest first, at most
     /// [`COMMAND_LOG_CAPACITY`] (for inspection and tests).
@@ -314,7 +315,7 @@ impl BankController {
         }
     }
 
-    /// Runs one mat's computation on its staged latch contents, placing
+    /// Runs one mat's computation on its latched input window, placing
     /// the result in its output register (drained by `store`).
     ///
     /// # Errors
@@ -322,115 +323,91 @@ impl BankController {
     /// Returns [`PrimeError::MappingMismatch`] if no data was loaded, or
     /// mode errors from the mat.
     pub fn compute_mat(&mut self, addr: MatAddr) -> Result<Vec<i64>, PrimeError> {
-        let mut scratch = BankScratch::new();
         let mut out = Vec::new();
-        self.compute_mat_into(addr, &mut scratch, &mut out)?;
+        self.compute_windows_into(addr, (1, 0), &mut BankScratch::new(), &mut out)?;
+        self.outputs.insert((addr.subarray, addr.mat), out.clone());
         Ok(out)
     }
 
-    /// [`compute_mat`](Self::compute_mat) into caller-owned buffers.
+    /// Evaluates the block the mat's last `load` latched as `windows`
+    /// input windows `stride` words apart, in order, leaving window `p`'s
+    /// post-output-unit results in `out[p * cols..(p + 1) * cols]` (`out`
+    /// is cleared first). A window is as wide as the block left after
+    /// `windows - 1` strides, so a single window is the whole latch.
     ///
-    /// `out` is cleared and refilled with the mat's post-output-unit
-    /// results; the output register kept for `store` reuses its previous
-    /// storage, and the consumed latch vector is recycled for the next
-    /// `load` — with a reused `scratch`, the whole
+    /// The latch is the mat's only input: the computation consumes it
+    /// (the next compute needs a new `load`), and later buffer writes do
+    /// not reach it. The results go to the caller's merge adder, not the
+    /// output register. Each window evaluates digitally, or through the
+    /// analog domain while the bank has [read noise](Self::set_read_noise),
+    /// drawing in window order. With a reused `scratch` and `out`, and the
+    /// consumed latch recycled for the next `load`, the
     /// load→compute→merge path performs zero steady-state heap
-    /// allocation. The mat evaluates digitally, or through the analog
-    /// domain while the bank has [read noise](Self::set_read_noise).
+    /// allocation.
     ///
     /// # Errors
     ///
-    /// Returns [`PrimeError::MappingMismatch`] if no data was loaded, or
-    /// mode errors from the mat.
-    pub fn compute_mat_into(
+    /// Returns [`PrimeError::MappingMismatch`] if no data was loaded or
+    /// the latched block cannot hold `windows` windows `stride` apart,
+    /// or mode and shape errors from the mat.
+    pub fn compute_windows_into(
         &mut self,
         addr: MatAddr,
+        (windows, stride): (usize, usize),
         scratch: &mut BankScratch,
         out: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
-        self.stage_latch_codes(addr, scratch)?;
-        self.evaluate_staged(addr, scratch, out)
-    }
-
-    /// [`compute_mat_into`](Self::compute_mat_into) over caller-provided
-    /// input words instead of a staged latch.
-    ///
-    /// The chunked conv schedule loads a whole tile×chunk block into the
-    /// mat latch with one `Command::Load`, then drives the wordlines once
-    /// per pixel from a slice of that block; this entry point models the
-    /// per-pixel drive without round-tripping each slice through the
-    /// `latches` map. The words are clamped to the scheme's input-code
-    /// range exactly as a staged latch would be.
-    ///
-    /// # Errors
-    ///
-    /// Returns mode errors from the mat.
-    pub fn compute_mat_words_into(
-        &mut self,
-        addr: MatAddr,
-        words: &[i64],
-        scratch: &mut BankScratch,
-        out: &mut Vec<i64>,
-    ) -> Result<(), PrimeError> {
-        self.stage_word_codes(addr, words, scratch);
-        self.evaluate_staged(addr, scratch, out)
-    }
-
-    /// Clamps caller-provided input words into `scratch.codes`, mirroring
-    /// what [`stage_latch_codes`](Self::stage_latch_codes) does for a
-    /// staged latch.
-    fn stage_word_codes(&mut self, addr: MatAddr, words: &[i64], scratch: &mut BankScratch) {
-        let max_code = i64::from(self.ff[addr.subarray][addr.mat].scheme().input_code_max());
-        scratch.codes.clear();
-        scratch
-            .codes
-            .extend(words.iter().map(|&v| v.clamp(0, max_code) as u16));
-    }
-
-    /// Consumes the mat's staged latch into `scratch.codes` (clamped to
-    /// the scheme's input-code range), recycling the latch vector.
-    fn stage_latch_codes(
-        &mut self,
-        addr: MatAddr,
-        scratch: &mut BankScratch,
-    ) -> Result<(), PrimeError> {
-        let key = (addr.subarray, addr.mat);
-        let staged = self
-            .latches
-            .remove(&key)
-            .ok_or(PrimeError::MappingMismatch {
-                reason: "compute issued before load".to_string(),
-            })?;
-        let max_code = i64::from(self.ff[addr.subarray][addr.mat].scheme().input_code_max());
-        scratch.codes.clear();
-        scratch
-            .codes
-            .extend(staged.iter().map(|&v| v.clamp(0, max_code) as u16));
+        let staged = self.take_latch(addr)?;
+        let result = self.evaluate_windows(addr, &staged, (windows, stride), scratch, out);
         // Hand the consumed latch back to the pool for the next `load`.
         self.spare_latch = staged;
-        Ok(())
+        result
     }
 
-    /// Evaluates the mat on `scratch.codes` — digitally, or through the
-    /// analog domain with the bank's read noise — and routes the raw
-    /// composed results through the output units into `out` and the mat's
-    /// output register (for `store`), reusing storage.
-    fn evaluate_staged(
+    /// Removes the mat's latched block.
+    fn take_latch(&mut self, addr: MatAddr) -> Result<Vec<i64>, PrimeError> {
+        self.latches
+            .remove(&(addr.subarray, addr.mat))
+            .ok_or(PrimeError::MappingMismatch {
+                reason: "compute issued before load".to_string(),
+            })
+    }
+
+    /// Drives each of the `windows` windows of a latched block, `stride`
+    /// words apart, through the mat — its codes clamped to the scheme's
+    /// input-code range — and leaves the output-unit results in `out`,
+    /// window-major.
+    fn evaluate_windows(
         &mut self,
         addr: MatAddr,
+        staged: &[i64],
+        (windows, stride): (usize, usize),
         scratch: &mut BankScratch,
         out: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
+        let width = windows
+            .checked_sub(1)
+            .and_then(|gaps| gaps.checked_mul(stride))
+            .and_then(|skipped| staged.len().checked_sub(skipped))
+            .ok_or_else(|| PrimeError::MappingMismatch {
+                reason: format!(
+                    "{} latched words cannot hold {windows} window(s) {stride} apart",
+                    staged.len()
+                ),
+            })?;
         let mat = &mut self.ff[addr.subarray][addr.mat];
+        let max_code = i64::from(mat.scheme().input_code_max());
         let BankScratch { codes, mat: mat_scratch, raw } = scratch;
-        match &mut self.read_noise {
-            None => mat.compute_into(codes, mat_scratch, raw)?,
-            Some((noise, rng)) => mat.compute_analog_into(codes, noise, rng, mat_scratch, raw)?,
+        out.clear();
+        for window in (0..windows).map(|p| &staged[p * stride..p * stride + width]) {
+            codes.clear();
+            codes.extend(window.iter().map(|&v| v.clamp(0, max_code) as u16));
+            match &mut self.read_noise {
+                None => mat.compute_into(codes, mat_scratch, raw)?,
+                Some((noise, rng)) => mat.compute_analog_into(codes, noise, rng, mat_scratch, raw)?,
+            }
+            out.extend(raw.iter().map(|&v| mat.output_unit(v)));
         }
-        mat.apply_output_units_into(raw, out);
-        let register = self.outputs.entry((addr.subarray, addr.mat)).or_default();
-        register.clear();
-        register.extend_from_slice(out);
         Ok(())
     }
 
@@ -624,6 +601,65 @@ mod tests {
         })
         .unwrap();
         assert_eq!(ctrl.buffer_mut().load(BufAddr(100), 2).unwrap(), out);
+    }
+
+    /// A one-mat controller whose mat computes a 4x2 weight matrix.
+    fn programmed_controller() -> (BankController, MatAddr) {
+        let mut ctrl = small_controller();
+        let addr = MatAddr { subarray: 0, mat: 0 };
+        ctrl.execute(Command::SetFunction { mat: addr, function: MatFunction::Program })
+            .unwrap();
+        ctrl.mat_mut(addr)
+            .program_composed(&[16, -16, 32, 0, 0, 32, -16, 16], 4, 2)
+            .unwrap();
+        ctrl.execute(Command::SetFunction { mat: addr, function: MatFunction::Compute })
+            .unwrap();
+        (ctrl, addr)
+    }
+
+    fn load(mat: MatAddr, from: u64, words: u64) -> Command {
+        Command::Load { from: BufAddr(from), to: FfAddr { mat, offset: 0 }, bytes: words * 8 }
+    }
+
+    #[test]
+    fn compute_without_a_load_fails() {
+        let (mut ctrl, addr) = programmed_controller();
+        let (mut scratch, mut out) = (BankScratch::new(), Vec::new());
+        let unloaded = |err: Result<_, PrimeError>| {
+            matches!(err, Err(PrimeError::MappingMismatch { reason }) if reason.contains("before load"))
+        };
+        assert!(unloaded(ctrl.compute_windows_into(addr, (1, 0), &mut scratch, &mut out)));
+        // A compute consumes its latch: the next one needs a new load.
+        ctrl.buffer_mut().store(BufAddr(0), &[8, 16, 24, 32]).unwrap();
+        ctrl.execute(load(addr, 0, 4)).unwrap();
+        ctrl.compute_mat(addr).unwrap();
+        assert!(unloaded(ctrl.compute_mat(addr).map(drop)));
+    }
+
+    /// The latch is the mat's only input: windows evaluate from the
+    /// words the `load` copied, whatever the buffer holds afterwards.
+    #[test]
+    fn latched_windows_ignore_later_buffer_writes() {
+        let (mut ctrl, addr) = programmed_controller();
+        // Three 4-row windows, 6 words apart.
+        let block: Vec<i64> = (0..16).map(|i| i * 5 % 17).collect();
+        ctrl.buffer_mut().store(BufAddr(0), &block).unwrap();
+        ctrl.execute(load(addr, 0, 16)).unwrap();
+        ctrl.buffer_mut().store(BufAddr(0), &[63; 16]).unwrap();
+        let (mut scratch, mut out) = (BankScratch::new(), Vec::new());
+        ctrl.compute_windows_into(addr, (3, 6), &mut scratch, &mut out).unwrap();
+        let mut expected = Vec::new();
+        for p in 0..3 {
+            ctrl.buffer_mut().store(BufAddr(100), &block[p * 6..p * 6 + 4]).unwrap();
+            ctrl.execute(load(addr, 100, 4)).unwrap();
+            expected.extend(ctrl.compute_mat(addr).unwrap());
+        }
+        assert_eq!(out, expected);
+        // The overwritten words would have computed something else.
+        ctrl.execute(load(addr, 0, 16)).unwrap();
+        let mut overwritten = Vec::new();
+        ctrl.compute_windows_into(addr, (3, 6), &mut scratch, &mut overwritten).unwrap();
+        assert_ne!(overwritten, expected);
     }
 
     #[test]

@@ -618,14 +618,18 @@ impl FfMat {
     /// allocation on reuse).
     pub fn apply_output_units_into(&self, values: &[i64], out: &mut Vec<i64>) {
         out.clear();
-        out.extend(values.iter().map(|&v| {
-            let v = self.relu.apply(v);
-            if self.datapath.bypass_sigmoid {
-                v
-            } else {
-                self.sigmoid.apply(v) as i64
-            }
-        }));
+        out.extend(values.iter().map(|&v| self.output_unit(v)));
+    }
+
+    /// One raw composed result through the configured output units.
+    #[inline]
+    pub(crate) fn output_unit(&self, v: i64) -> i64 {
+        let v = self.relu.apply(v);
+        if self.datapath.bypass_sigmoid {
+            v
+        } else {
+            self.sigmoid.apply(v) as i64
+        }
     }
 
     /// Memory-mode row write: rows `0..256` live in the positive array,

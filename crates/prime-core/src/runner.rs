@@ -40,8 +40,11 @@
 //! Large-scale networks (paper §IV-B) do not fit one bank: the compiler's
 //! [`Mapping::pipeline`](prime_compiler::NetworkMapping) splits them into
 //! stages, each assigned to a bank. [`CommandRunner::compile_pipeline`]
-//! consumes that stage list as the single source of truth for *where*
-//! layers run, placing each stage's tiles on its assigned bank, and the
+//! does not derive the plan itself: [`prime_analyze::lower_layout`], the
+//! lowering the static Pass-3 audit checks, maps the network onto that
+//! stage list and gives each layer its op, widths, buffer addresses and
+//! tiles; the runner places those tiles on the stage's bank, programs
+//! and calibrates them, and keeps the lowered layers as its plan. The
 //! stage-level execution API ([`quantize_input`](CommandRunner::quantize_input),
 //! [`run_stage`](CommandRunner::run_stage),
 //! [`stage_transfer_out`](CommandRunner::stage_transfer_out) and
@@ -60,13 +63,11 @@
 //! analog voltage/conductance domain and draws from its own seeded
 //! stream; otherwise tiles evaluate digitally and exactly.
 
-use prime_analyze::{ProgramOp, ProgramStage};
-use prime_circuits::{
-    mean_pool_weights, ComposingScheme, MaxPoolUnit, PrecisionController, SigmoidUnit,
-};
+use prime_analyze::{ProgramLayer, ProgramOp, ProgramPlan, ProgramTile};
+use prime_circuits::{ComposingScheme, MaxPoolUnit, PrecisionController, SigmoidUnit};
 use prime_compiler::PipelineStage;
 use prime_mem::{BufAddr, Command, FfAddr, MatAddr, MatFunction};
-use prime_nn::{Activation, Layer, Network, PoolKind};
+use prime_nn::{Activation, Layer, Network};
 
 use crate::controller::{BankController, BankScratch};
 use crate::error::PrimeError;
@@ -88,7 +89,8 @@ pub struct InferScratch {
     acc: Vec<PrecisionController>,
     /// Full-precision merged sums of the current layer, in output order.
     merged: Vec<i64>,
-    /// One tile's post-output-unit results.
+    /// One tile's post-output-unit results for every window of the
+    /// current chunk, window-major.
     tile_out: Vec<i64>,
     /// Staged codes of one window chunk (pixel-major im2col windows) or
     /// pooling window.
@@ -190,26 +192,15 @@ impl PlannedActivation {
     }
 }
 
-/// One planned layer.
+/// The execution state of one lowered layer: what the runner keeps
+/// beyond the [`ProgramLayer`] that says what the layer computes and
+/// where it stages.
 #[derive(Debug, Clone, PartialEq)]
 struct PlannedLayer {
-    /// What the layer computes per crossbar evaluation; also the plan
-    /// [`CommandRunner::program_plan`] exports for Pass 3.
-    op: ProgramOp,
     tiles: Vec<PlannedTile>,
-    inputs: usize,
-    outputs: usize,
     /// Bias in merged full-precision units.
     bias_units: Vec<i64>,
-    /// Right shift taking merged full-precision sums to 6-bit codes for
-    /// the next layer (calibrated; 0 for sigmoid layers).
-    requant_shift: u8,
     activation: PlannedActivation,
-    /// Buffer address of this layer's staging region
-    /// ([`ProgramOp::staging_words`] long).
-    in_addr: BufAddr,
-    /// Buffer address where this layer's output codes are staged.
-    out_addr: BufAddr,
 }
 
 /// A compiled, programmed, command-driven network.
@@ -232,12 +223,15 @@ struct PlannedLayer {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommandRunner {
-    layers: Vec<PlannedLayer>,
-    /// Stage placement: contiguous layer spans on strictly increasing
-    /// banks (a single stage on bank 0 for single-bank plans). `bank`
+    /// The lowered program the runner executes
+    /// ([`prime_analyze::lower_layout`]): each layer's op, widths and
+    /// buffer addresses, and the stage placement (a stage's `bank`
     /// indexes the bank slice handed to
-    /// [`compile_pipeline`](Self::compile_pipeline).
-    stages: Vec<ProgramStage>,
+    /// [`compile_pipeline`](Self::compile_pipeline)), with the
+    /// requantization shifts, ReLU flags and bias peaks calibration fixed.
+    program: ProgramPlan,
+    /// Execution state of each lowered layer, in the same order.
+    layers: Vec<PlannedLayer>,
     /// Scale of the network-input quantization (codes = value / scale).
     input_scale: f32,
     /// Combined output scale: real value = merged units * this.
@@ -271,52 +265,37 @@ impl CommandRunner {
         Self::compile_pipeline(net, std::slice::from_mut(controller), &[], calibration_input)
     }
 
-    /// Resolves a compiler [`PipelineStage`] list into per-stage layer
-    /// spans. Stage legality (banks strictly increasing, contiguous layer
-    /// coverage, no empty stage, banks in range) is checked by the shared
-    /// [`prime_analyze::check_pipeline`] pass — the same rules the static
-    /// deployment verifier applies — so the runtime and the verifier can
-    /// never drift apart. An empty `pipeline` means one stage holding
-    /// every layer on bank 0.
-    fn resolve_stages(
+    /// The runtime gate on a caller-supplied [`PipelineStage`] list: the
+    /// shared [`prime_analyze::check_pipeline`] pass (banks strictly
+    /// increasing and in range, contiguous layer coverage, no empty
+    /// stage), the same rules the static deployment verifier applies, so
+    /// the runtime and the verifier can never drift apart. An empty
+    /// `pipeline` means one stage holding every layer on bank 0.
+    fn check_stages(
         pipeline: &[PipelineStage],
         n_layers: usize,
         n_banks: usize,
-    ) -> Result<Vec<ProgramStage>, PrimeError> {
+    ) -> Result<(), PrimeError> {
         if pipeline.is_empty() {
-            return Ok(vec![ProgramStage {
-                bank: 0,
-                layers: (0, n_layers),
-            }]);
+            return Ok(());
         }
         let diags = prime_analyze::check_pipeline(pipeline, n_layers, n_banks, None);
-        if let Some(err) = diags
-            .iter()
-            .find(|d| d.severity == prime_analyze::Severity::Error)
-        {
-            return Err(PrimeError::MappingMismatch {
-                reason: err.to_string(),
-            });
+        match diags.iter().find(|d| d.severity == prime_analyze::Severity::Error) {
+            Some(err) => Err(PrimeError::MappingMismatch { reason: err.to_string() }),
+            None => Ok(()),
         }
-        let mut stages = Vec::with_capacity(pipeline.len());
-        let mut next_layer = 0usize;
-        for stage in pipeline {
-            let start = next_layer;
-            next_layer += stage.layers.len();
-            stages.push(ProgramStage {
-                bank: stage.bank,
-                layers: (start, next_layer),
-            });
-        }
-        Ok(stages)
     }
 
     /// Compiles `net` across `banks` following the compiler's
-    /// `Mapping::pipeline` stage list (paper §IV-B large-scale mapping):
-    /// each stage's layers are tiled, programmed, and calibrated on the
-    /// stage's assigned bank. The stage list is the single source of
-    /// truth for *where* layers run; an empty `pipeline` places the whole
-    /// network on `banks[0]` (the small/medium-scale case).
+    /// `Mapping::pipeline` stage list (paper §IV-B large-scale mapping).
+    /// The layout comes from [`prime_analyze::lower_layout`], the one
+    /// lowering the static Pass-3 audit also runs: each layer's op and
+    /// widths, its buffer addresses (restarting at every stage), its
+    /// stage span and its tile count. This compiles that plan: it
+    /// quantizes each weight layer, programs its tiles on the stage's
+    /// bank (mats allocated in order, restarting at every bank) and
+    /// calibrates. An empty `pipeline` places the whole network on
+    /// `banks[0]` (the small/medium-scale case).
     ///
     /// Calibration runs the inference layer step on the calibration
     /// activation, layer by layer: each layer's requantization shift
@@ -330,9 +309,10 @@ impl CommandRunner {
     /// # Errors
     ///
     /// Returns [`PrimeError::MappingMismatch`] for a wrong-sized
-    /// calibration input, a malformed stage list, or a stage needing more
-    /// FF mats than its bank provides, and buffer errors if a bank's
-    /// buffer cannot stage a layer.
+    /// calibration input, a malformed stage list (refused before any
+    /// bank state changes), a layer with no in-memory lowering, or a
+    /// stage needing more FF mats than its bank provides, and buffer
+    /// errors if a bank's buffer cannot stage a layer.
     pub fn compile_pipeline(
         net: &Network,
         banks: &mut [BankController],
@@ -356,25 +336,23 @@ impl CommandRunner {
                 ),
             });
         }
-        let stages = Self::resolve_stages(pipeline, net.layers().len(), banks.len())?;
+        Self::check_stages(pipeline, net.layers().len(), banks.len())?;
         // Code bounds come from the mats' composing scheme (Pin/Po), not
         // hard-coded constants — the quantizer and every downstream clamp
         // share this single source of truth. All banks are constructed
-        // identically, so the first stage's bank is representative.
-        let first_bank = &banks[stages[0].bank];
-        let (scheme, mat_rows, mat_cols) =
-            if first_bank.ff_subarrays() * first_bank.mats_per_subarray() > 0 {
-                let mat = first_bank.mat(MatAddr {
-                    subarray: 0,
-                    mat: 0,
-                });
-                (mat.scheme(), mat.max_rows(), mat.max_cols())
-            } else {
-                (ComposingScheme::prime_default(), 256, 128)
-            };
+        // identically, so the first is representative.
+        let first_bank = &banks[0];
+        let (scheme, mat) = if first_bank.ff_subarrays() * first_bank.mats_per_subarray() > 0 {
+            let mat = first_bank.mat(MatAddr { subarray: 0, mat: 0 });
+            (mat.scheme(), (mat.max_rows(), mat.max_cols()))
+        } else {
+            (ComposingScheme::prime_default(), (256, 128))
+        };
+        let buffer_words = banks.iter().map(|b| b.buffer().capacity()).min().unwrap_or(0);
+        let spec = net.to_spec("compiled")?;
+        let mut program = prime_analyze::lower_layout(&spec, pipeline, buffer_words, mat, &scheme)
+            .map_err(|reason| PrimeError::MappingMismatch { reason })?;
         let code_max = i64::from(scheme.input_code_max());
-        let mut planned = Vec::new();
-        let mut mats_used = 0usize;
 
         // Input quantization scale from the calibration vector.
         let in_max = calibration_input
@@ -386,146 +364,91 @@ impl CommandRunner {
         Self::quantize(calibration_input, input_scale, &scheme, &mut codes);
         let mut value_scale = input_scale; // real value of one input code unit
         let mut scratch = InferScratch::new();
+        let mut layers = Vec::with_capacity(program.layers.len());
+        let mut mats_used = 0usize;
 
-        for stage in &stages {
+        for stage in &program.stages {
             let controller = &mut banks[stage.bank];
-            let mats_per_subarray = controller.mats_per_subarray();
-            let total_mats = controller.ff_subarrays() * mats_per_subarray;
-            // Mat allocation and buffer addressing restart per bank: each
-            // stage owns its bank's FF mats and Buffer subarray.
             let mut next_mat = 0usize;
-            let mut buf_cursor: u64 = 0;
-            for layer in &net.layers()[stage.layers.0..stage.layers.1] {
-                // The op, plus a weight layer's weights, their
-                // `(rows, features)` matrix shape, bias and activation.
-                let (op, weights) = match layer {
-                    Layer::Fc(fc) => {
-                        let shape = (fc.inputs(), fc.outputs());
-                        let weights = (fc.weights().data(), shape, fc.bias(), fc.activation());
-                        (ProgramOp::Fc, Some(weights))
-                    }
+            let span = stage.layers.0..stage.layers.1;
+            for (lowered, layer) in program.layers[span.clone()].iter_mut().zip(&net.layers()[span])
+            {
+                // A weight layer's weights, bias and activation. Both
+                // weight layouts are `[features][rows]` (an FC row is an
+                // input, a conv row an `(ic, ky, kx)` tap).
+                let weights = match layer {
+                    Layer::Fc(fc) => Some((fc.weights().data(), fc.bias(), fc.activation())),
                     Layer::Conv(conv) => {
-                        let (in_ch, out_ch) = (conv.in_channels(), conv.out_channels());
-                        let (kernel, in_w, out_w) = (conv.kernel(), conv.in_w(), conv.out_w());
-                        // Deploy-time staging plan: the same accounting
-                        // the static verifier's P019/P020 checks use.
-                        let staging = prime_analyze::conv_staging(
-                            in_ch,
-                            kernel,
-                            in_w,
-                            out_w,
-                            controller.buffer().capacity(),
-                        );
-                        let op = ProgramOp::Conv {
-                            in_ch,
-                            out_ch,
-                            kernel,
-                            padding: conv.padding(),
-                            in_h: conv.in_h(),
-                            in_w,
-                            out_h: conv.out_h(),
-                            out_w,
-                            resident: staging.resident,
-                            chunk_pixels: staging.chunk_pixels,
-                        };
-                        let shape = (in_ch * kernel * kernel, out_ch);
-                        (op, Some((conv.weights().data(), shape, conv.bias(), conv.activation())))
+                        Some((conv.weights().data(), conv.bias(), conv.activation()))
                     }
-                    Layer::Pool(pool) => {
-                        let mean = matches!(pool.kind(), PoolKind::Mean);
-                        // The quantized 1/n reciprocal the mux cells
-                        // program (4-bit MLC budget). Software rescaling
-                        // divides the level back out, so the mean stays
-                        // exact as long as the level is nonzero.
-                        let n = pool.window() * pool.window();
-                        let level = if mean {
-                            i64::from(mean_pool_weights(n, scheme.weight_half_bits())?[0])
-                        } else {
-                            0
-                        };
-                        let op = ProgramOp::Pool {
-                            mean,
-                            channels: pool.channels(),
-                            in_h: pool.in_h(),
-                            in_w: pool.in_w(),
-                            window: pool.window(),
-                            level,
-                        };
-                        (op, None)
-                    }
+                    Layer::Pool(_) => None,
                 };
-                let inputs = layer.inputs();
-                let in_addr = BufAddr(buf_cursor);
-                buf_cursor += op.staging_words(inputs) as u64;
                 let mut plan = PlannedLayer {
-                    op,
                     tiles: Vec::new(),
-                    inputs,
-                    outputs: layer.outputs(),
                     bias_units: Vec::new(),
-                    requant_shift: 0,
                     activation: PlannedActivation::Identity,
-                    in_addr,
-                    out_addr: BufAddr(buf_cursor),
                 };
                 // A weight layer's real value of one merged unit.
-                let unit = if let Some((w, (rows, features), bias, _)) = weights {
-                    // Quantize weights to composed 8-bit codes. Both
-                    // layouts are `[features][rows]` (an FC row is an
-                    // input, a conv row an `(ic, ky, kx)` tap); the
-                    // crossbar wants `[rows][features]`.
-                    let w_max = w.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
-                    let w_scale = w_max / 255.0;
-                    let weight_code = |r: usize, c: usize| {
-                        ((w[c * rows + r] / w_scale).round().clamp(-255.0, 255.0)) as i32
-                    };
-                    plan.tiles = Self::program_tiles(
-                        controller,
-                        &mut next_mat,
-                        (mats_per_subarray, total_mats),
-                        (rows, features),
-                        (mat_rows, mat_cols),
-                        &weight_code,
-                        (&op, &codes),
-                    )?;
-                    // Bias in full-precision units:
-                    // bias_real / (value_scale * w_scale).
-                    let unit = value_scale * w_scale;
-                    plan.bias_units = bias.iter().map(|&b| (b / unit).round() as i64).collect();
-                    unit
-                } else {
-                    value_scale
+                let unit = match (weights, lowered.weight_shape()) {
+                    (Some((w, bias, _)), Some(shape @ (rows, _))) => {
+                        // Quantize weights to composed 8-bit codes; the
+                        // crossbar wants `[rows][features]`.
+                        let w_max = w.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
+                        let w_scale = w_max / 255.0;
+                        let weight_code = |r: usize, c: usize| {
+                            ((w[c * rows + r] / w_scale).round().clamp(-255.0, 255.0)) as i32
+                        };
+                        plan.tiles = Self::program_tiles(
+                            controller,
+                            &mut next_mat,
+                            prime_analyze::tile_spans(shape, mat),
+                            &weight_code,
+                            (&lowered.op, &codes),
+                        )?;
+                        // Bias in full-precision units:
+                        // bias_real / (value_scale * w_scale).
+                        let unit = value_scale * w_scale;
+                        plan.bias_units = bias.iter().map(|&b| (b / unit).round() as i64).collect();
+                        unit
+                    }
+                    _ => value_scale,
                 };
                 // Calibrate: the layer step on the calibration activation.
-                Self::eval_layer(&plan, controller, &mut scratch, &codes, &mut None)?;
+                Self::eval_layer(lowered, &plan, controller, &mut scratch, &codes, &mut None)?;
                 let out_max =
                     scratch.merged.iter().map(|&v| v.abs()).max().unwrap_or(1).max(1);
-                match (weights, op) {
+                match (weights, lowered.op) {
                     (Some((.., activation)), _) => {
-                        (plan.activation, plan.requant_shift, value_scale) =
+                        (plan.activation, lowered.requant_shift, value_scale) =
                             Self::plan_activation(activation, unit, out_max, &scheme);
                     }
                     // Winner-code max selects among existing codes, so
                     // only the mean's level-scaled sums need requant.
                     (None, ProgramOp::Pool { mean: true, window, level, .. }) => {
-                        plan.requant_shift = Self::requant_shift(out_max, &scheme);
-                        value_scale = value_scale * f32::from(plan.requant_shift).exp2()
+                        lowered.requant_shift = Self::requant_shift(out_max, &scheme);
+                        value_scale = value_scale * f32::from(lowered.requant_shift).exp2()
                             / (level * (window * window) as i64) as f32;
                     }
                     (None, _) => {}
                 }
+                // What Pass 3 reads of the calibrated layer. A sigmoid
+                // layer reads as no-ReLU with shift 0: its emitted
+                // interval [-code_max, code_max] soundly over-approximates
+                // the unit's [0, code_max] codes.
+                lowered.relu = plan.activation == PlannedActivation::Relu;
+                lowered.bias_peak = plan.bias_units.iter().map(|b| b.abs()).max().unwrap_or(0);
                 // Advance the calibration activation.
                 codes.clear();
                 codes.extend(scratch.merged.iter().map(|&v| {
-                    Self::next_code(plan.activation, plan.requant_shift, code_max, v)
+                    Self::next_code(plan.activation, lowered.requant_shift, code_max, v)
                 }));
-                planned.push(plan);
+                layers.push(plan);
             }
             mats_used += next_mat;
         }
         Ok(CommandRunner {
-            layers: planned,
-            stages,
+            program,
+            layers,
             input_scale,
             output_scale: value_scale,
             mats_used,
@@ -577,91 +500,83 @@ impl CommandRunner {
         (bits - i64::from(scheme.input_bits())).max(0) as u8
     }
 
-    /// Tiles a `rows`x`cols` quantized weight matrix over the bank's FF
-    /// mats: allocates mats in order, programs each tile's composed
-    /// codes, and calibrates its SA window against every window `op`
-    /// reads from the calibration activation `codes` (the full input for
-    /// FC, every im2col window for conv).
+    /// Programs a quantized weight matrix onto the bank's FF mats, one
+    /// tile per `(row span, column span)` of `spans`: allocates mats in
+    /// order, programs each tile's composed codes, and calibrates its SA
+    /// window against every window `op` reads from the calibration
+    /// activation `codes` (the full input for FC, every im2col window for
+    /// conv).
     fn program_tiles(
         controller: &mut BankController,
         next_mat: &mut usize,
-        (mats_per_subarray, total_mats): (usize, usize),
-        (rows, cols): (usize, usize),
-        (mat_rows, mat_cols): (usize, usize),
+        spans: impl Iterator<Item = ((usize, usize), (usize, usize))>,
         weight_code: &dyn Fn(usize, usize) -> i32,
         (op, codes): (&ProgramOp, &[i64]),
     ) -> Result<Vec<PlannedTile>, PrimeError> {
-        let row_spans: Vec<(usize, usize)> = (0..rows.div_ceil(mat_rows))
-            .map(|t| (t * mat_rows, ((t + 1) * mat_rows).min(rows)))
-            .collect();
-        let col_spans: Vec<(usize, usize)> = (0..cols.div_ceil(mat_cols))
-            .map(|t| (t * mat_cols, ((t + 1) * mat_cols).min(cols)))
-            .collect();
+        let mats_per_subarray = controller.mats_per_subarray();
+        let total_mats = controller.ff_subarrays() * mats_per_subarray;
         let mut tiles = Vec::new();
         let mut window = Vec::new();
-        for &(r0, r1) in &row_spans {
-            for &(c0, c1) in &col_spans {
-                if *next_mat >= total_mats {
-                    return Err(PrimeError::MappingMismatch {
-                        reason: "network needs more FF mats than the bank provides"
-                            .to_string(),
-                    });
-                }
-                let mat = MatAddr {
-                    subarray: *next_mat / mats_per_subarray,
-                    mat: *next_mat % mats_per_subarray,
-                };
-                *next_mat += 1;
-                let (tr, tc) = (r1 - r0, c1 - c0);
-                let mut tile_codes = Vec::with_capacity(tr * tc);
-                for r in r0..r1 {
-                    for c in c0..c1 {
-                        tile_codes.push(weight_code(r, c));
-                    }
-                }
-                controller.execute(Command::SetFunction {
-                    mat,
-                    function: MatFunction::Program,
-                })?;
-                controller
-                    .mat_mut(mat)
-                    .program_composed(&tile_codes, tr, tc)?;
-                controller.execute(Command::SetFunction {
-                    mat,
-                    function: MatFunction::Compute,
-                })?;
-                // Calibrate the SA window on the calibration windows.
-                let mut max_abs = 1i64;
-                let mut sense = |v: &[i64]| {
-                    for c in 0..tc {
-                        let mut acc = 0i64;
-                        for (r, &x) in v[r0..r1].iter().enumerate() {
-                            acc += x * i64::from(tile_codes[r * tc + c]);
-                        }
-                        max_abs = max_abs.max(acc.abs());
-                    }
-                };
-                match *op {
-                    ProgramOp::Conv { out_h, out_w, .. } => {
-                        for oy in 0..out_h {
-                            for ox in 0..out_w {
-                                window.clear();
-                                Self::gather_window(op, codes, oy, ox, &mut window);
-                                sense(&window);
-                            }
-                        }
-                    }
-                    _ => sense(codes),
-                }
-                controller.mat_mut(mat).calibrate_output_window(2 * max_abs);
-                let shift = controller.mat(mat).output_shift();
-                tiles.push(PlannedTile {
-                    mat,
-                    rows: (r0, r1),
-                    cols: (c0, c1),
-                    shift,
+        for ((r0, r1), (c0, c1)) in spans {
+            if *next_mat >= total_mats {
+                return Err(PrimeError::MappingMismatch {
+                    reason: "network needs more FF mats than the bank provides".to_string(),
                 });
             }
+            let mat = MatAddr {
+                subarray: *next_mat / mats_per_subarray,
+                mat: *next_mat % mats_per_subarray,
+            };
+            *next_mat += 1;
+            let (tr, tc) = (r1 - r0, c1 - c0);
+            let mut tile_codes = Vec::with_capacity(tr * tc);
+            for r in r0..r1 {
+                for c in c0..c1 {
+                    tile_codes.push(weight_code(r, c));
+                }
+            }
+            controller.execute(Command::SetFunction {
+                mat,
+                function: MatFunction::Program,
+            })?;
+            controller
+                .mat_mut(mat)
+                .program_composed(&tile_codes, tr, tc)?;
+            controller.execute(Command::SetFunction {
+                mat,
+                function: MatFunction::Compute,
+            })?;
+            // Calibrate the SA window on the calibration windows.
+            let mut max_abs = 1i64;
+            let mut sense = |v: &[i64]| {
+                for c in 0..tc {
+                    let mut acc = 0i64;
+                    for (r, &x) in v[r0..r1].iter().enumerate() {
+                        acc += x * i64::from(tile_codes[r * tc + c]);
+                    }
+                    max_abs = max_abs.max(acc.abs());
+                }
+            };
+            match *op {
+                ProgramOp::Conv { out_h, out_w, .. } => {
+                    for oy in 0..out_h {
+                        for ox in 0..out_w {
+                            window.clear();
+                            Self::gather_window(op, codes, oy, ox, &mut window);
+                            sense(&window);
+                        }
+                    }
+                }
+                _ => sense(codes),
+            }
+            controller.mat_mut(mat).calibrate_output_window(2 * max_abs);
+            let shift = controller.mat(mat).output_shift();
+            tiles.push(PlannedTile {
+                mat,
+                rows: (r0, r1),
+                cols: (c0, c1),
+                shift,
+            });
         }
         Ok(tiles)
     }
@@ -669,7 +584,7 @@ impl CommandRunner {
     /// Number of pipeline stages the plan executes (1 for single-bank
     /// plans).
     pub fn stage_count(&self) -> usize {
-        self.stages.len()
+        self.program.stages.len()
     }
 
     /// The bank (index into the compile-time bank slice) hosting `stage`.
@@ -678,12 +593,12 @@ impl CommandRunner {
     ///
     /// Panics if `stage` is out of range.
     pub fn stage_bank(&self, stage: usize) -> usize {
-        self.stages[stage].bank
+        self.program.stages[stage].bank
     }
 
     /// Banks the plan occupies (`last stage bank + 1`).
     pub fn banks_spanned(&self) -> usize {
-        self.stages.last().map_or(1, |s| s.bank + 1)
+        self.program.stages.last().map_or(1, |s| s.bank + 1)
     }
 
     /// Replicates this compiled plan onto `dst`, a geometry-identical
@@ -723,21 +638,20 @@ impl CommandRunner {
         Ok(self.clone())
     }
 
-    /// Every planned layer with the bank (index into the compile-time
-    /// bank slice) hosting it, in execution order.
-    fn placed_layers(&self) -> impl Iterator<Item = (usize, &PlannedLayer)> + '_ {
-        self.stages.iter().flat_map(move |stage| {
-            self.layers[stage.layers.0..stage.layers.1]
-                .iter()
-                .map(move |layer| (stage.bank, layer))
-        })
+    /// Every planned layer's index with the bank (index into the
+    /// compile-time bank slice) hosting it, in execution order.
+    fn placed_layers(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.program
+            .stages
+            .iter()
+            .flat_map(|stage| (stage.layers.0..stage.layers.1).map(move |i| (stage.bank, i)))
     }
 
     /// Every mat the plan programs, as (index into the compile-time bank
     /// slice, mat address), in stage, layer, then tile order.
     pub(crate) fn placements(&self) -> impl Iterator<Item = (usize, MatAddr)> + '_ {
         self.placed_layers()
-            .flat_map(|(bank, layer)| layer.tiles.iter().map(move |tile| (bank, tile.mat)))
+            .flat_map(|(bank, i)| self.layers[i].tiles.iter().map(move |tile| (bank, tile.mat)))
     }
 
     /// Buffer address of `stage`'s input staging region and the logical
@@ -747,8 +661,8 @@ impl CommandRunner {
     ///
     /// Panics if `stage` is out of range.
     pub fn stage_input(&self, stage: usize) -> (BufAddr, usize) {
-        let layer = &self.layers[self.stages[stage].layers.0];
-        (layer.in_addr, layer.inputs)
+        let layer = &self.program.layers[self.program.stages[stage].layers.0];
+        (BufAddr(layer.in_addr), layer.inputs)
     }
 
     /// Buffer address of `stage`'s output staging region and the logical
@@ -759,8 +673,8 @@ impl CommandRunner {
     ///
     /// Panics if `stage` is out of range.
     pub fn stage_output(&self, stage: usize) -> (BufAddr, usize) {
-        let layer = &self.layers[self.stages[stage].layers.1 - 1];
-        (layer.out_addr, layer.outputs)
+        let layer = &self.program.layers[self.program.stages[stage].layers.1 - 1];
+        (BufAddr(layer.out_addr), layer.outputs)
     }
 
     /// Burst width for streaming a conv/pool boundary activation through
@@ -785,13 +699,14 @@ impl CommandRunner {
         bank: &mut BankController,
         codes: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
-        let layer = &self.layers[self.stages[stage].layers.1 - 1];
+        let layer = &self.program.layers[self.program.stages[stage].layers.1 - 1];
+        let out_addr = BufAddr(layer.out_addr);
         match layer.op {
-            ProgramOp::Fc => bank.transfer_out(layer.out_addr, layer.outputs, codes),
+            ProgramOp::Fc => bank.transfer_out(out_addr, layer.outputs, codes),
             _ => {
                 let chunk = Self::io_chunk(layer.outputs);
                 for burst in codes.chunks(chunk) {
-                    bank.buffer_mut().store(layer.out_addr, burst)?;
+                    bank.buffer_mut().store(out_addr, burst)?;
                 }
                 Ok(())
             }
@@ -812,13 +727,14 @@ impl CommandRunner {
         bank: &mut BankController,
         codes: &[i64],
     ) -> Result<(), PrimeError> {
-        let layer = &self.layers[self.stages[stage].layers.0];
+        let layer = &self.program.layers[self.program.stages[stage].layers.0];
+        let in_addr = BufAddr(layer.in_addr);
         match layer.op {
-            ProgramOp::Fc => bank.transfer_in(layer.in_addr, codes),
+            ProgramOp::Fc => bank.transfer_in(in_addr, codes),
             _ => {
                 let chunk = Self::io_chunk(layer.inputs);
                 for burst in codes.chunks(chunk) {
-                    bank.buffer_mut().store(layer.in_addr, burst)?;
+                    bank.buffer_mut().store(in_addr, burst)?;
                 }
                 Ok(())
             }
@@ -834,16 +750,18 @@ impl CommandRunner {
     /// stages — the row labels for per-layer timing breakdowns from
     /// [`infer_timed_into`](Self::infer_timed_into).
     pub fn layer_labels(&self) -> Vec<String> {
-        self.layers
+        self.program
+            .layers
             .iter()
-            .map(|plan| {
+            .zip(&self.layers)
+            .map(|(layer, plan)| {
                 let act = match plan.activation {
                     PlannedActivation::Identity => "",
                     PlannedActivation::Relu => " relu",
                     PlannedActivation::Sigmoid(_) => " sigmoid",
                 };
-                match plan.op {
-                    ProgramOp::Fc => format!("fc {}-{}{act}", plan.inputs, plan.outputs),
+                match layer.op {
+                    ProgramOp::Fc => format!("fc {}-{}{act}", layer.inputs, layer.outputs),
                     ProgramOp::Conv { in_ch, out_ch, kernel, out_h, out_w, .. } => {
                         format!("conv{kernel}x{kernel} {in_ch}-{out_ch}ch {out_h}x{out_w}{act}")
                     }
@@ -856,62 +774,34 @@ impl CommandRunner {
             .collect()
     }
 
-    /// Exports the compiled plan as a [`prime_analyze::ProgramPlan`] for
-    /// the Pass-3 abstract interpreter: planned ops, buffer addressing,
-    /// calibrated shifts, stage placement, and the live post-deploy tile
-    /// state (alias sharing and mat function) read from `banks` — the
-    /// same bank slice the plan was compiled against, in stage order.
-    /// Read-only: no command is issued and no mat state changes.
-    pub fn program_plan(&self, banks: &[BankController]) -> prime_analyze::ProgramPlan {
-        let layers = self
-            .placed_layers()
-            .map(|(bank, plan)| {
-                let tiles = plan
-                    .tiles
-                    .iter()
-                    .map(|tile| {
-                        let state = banks.get(bank).map(|b| {
-                            let mat = b.mat(tile.mat);
-                            (mat.shared_tile().is_some(), mat.function() == MatFunction::Program)
-                        });
-                        let (aliased, write_armed) = state.unwrap_or((false, false));
-                        prime_analyze::ProgramTile { aliased, write_armed }
-                    })
-                    .collect();
-                prime_analyze::ProgramLayer {
-                    op: plan.op,
-                    inputs: plan.inputs,
-                    outputs: plan.outputs,
-                    in_addr: plan.in_addr.0,
-                    out_addr: plan.out_addr.0,
-                    requant_shift: plan.requant_shift,
-                    // A sigmoid layer exports as no-ReLU with shift 0: its
-                    // emitted interval [-code_max, code_max] soundly
-                    // over-approximates the unit's [0, code_max] codes.
-                    relu: plan.activation == PlannedActivation::Relu,
-                    bias_peak: plan.bias_units.iter().map(|b| b.abs()).max().unwrap_or(0),
-                    tiles,
-                }
-            })
-            .collect();
-        let buffer_words = banks
-            .iter()
-            .map(|b| b.buffer().capacity())
-            .min()
-            .unwrap_or(0);
-        prime_analyze::ProgramPlan {
-            layers,
-            stages: self.stages.clone(),
-            buffer_words,
-            recycle_credits: prime_compiler::pipeline_credits(self.stages.len()),
+    /// Exports the compiled plan for the Pass-3 abstract interpreter:
+    /// the lowered program the runner executes, with its calibrated
+    /// shifts, plus the live post-deploy state (alias sharing and mat
+    /// function) of every placed tile, read from `banks` — the same bank
+    /// slice the plan was compiled against, in stage order. Read-only: no
+    /// command is issued and no mat state changes.
+    pub fn program_plan(&self, banks: &[BankController]) -> ProgramPlan {
+        let mut plan = self.program.clone();
+        for (bank, i) in self.placed_layers() {
+            let tile_state = |tile: &PlannedTile| {
+                let state = banks.get(bank).map(|b| {
+                    let mat = b.mat(tile.mat);
+                    (mat.shared_tile().is_some(), mat.function() == MatFunction::Program)
+                });
+                let (aliased, write_armed) = state.unwrap_or((false, false));
+                ProgramTile { aliased, write_armed }
+            };
+            plan.layers[i].tiles = self.layers[i].tiles.iter().map(tile_state).collect();
         }
+        plan
     }
 
-    /// The one layer step: evaluates `plan` on its input activation
-    /// `codes` — on the mats for FC and conv layers, on the pooling units
-    /// for pool layers — and leaves the layer's merged full-precision
-    /// sums in `scratch.merged`, in output order. Inference and
-    /// deploy-time calibration both run here.
+    /// The one layer step: evaluates the lowered `layer`, with its
+    /// execution state `plan`, on its input activation `codes` — on the
+    /// mats for FC and conv layers, on the pooling units for pool layers
+    /// — and leaves the layer's merged full-precision sums in
+    /// `scratch.merged`, in output order. Inference and deploy-time
+    /// calibration both run here.
     ///
     /// An FC layer stages its input at `in_addr` and evaluates as one
     /// window. A conv layer runs one chunk loop: a resident layer stages
@@ -921,6 +811,7 @@ impl CommandRunner {
     /// activation. Either way each chunk is staged after the ring and
     /// evaluated tile by tile ([`eval_tiles`](Self::eval_tiles)).
     fn eval_layer(
+        layer: &ProgramLayer,
         plan: &PlannedLayer,
         bank: &mut BankController,
         scratch: &mut InferScratch,
@@ -930,11 +821,12 @@ impl CommandRunner {
         let InferScratch { acc, merged, tile_out, window, ring, row_slot, bank: bank_scratch, .. } =
             scratch;
         merged.clear();
-        match plan.op {
+        let in_addr = layer.in_addr;
+        match layer.op {
             ProgramOp::Fc => {
-                bank.buffer_mut().store(plan.in_addr, codes)?;
-                let staged = (plan.in_addr, codes, 1);
-                Self::eval_tiles(plan, bank, staged, plan.outputs, acc, bank_scratch, tile_out)?;
+                bank.buffer_mut().store(BufAddr(in_addr), codes)?;
+                let staged = (BufAddr(in_addr), 1, codes.len());
+                Self::eval_tiles(plan, bank, staged, layer.outputs, acc, bank_scratch, tile_out)?;
                 merged.extend(acc.iter().map(PrecisionController::value));
             }
             ProgramOp::Conv {
@@ -949,13 +841,14 @@ impl CommandRunner {
                 chunk_pixels,
                 ..
             } => {
-                let out_ch = plan.outputs / (out_h * out_w);
+                let out_ch = layer.outputs / (out_h * out_w);
                 let slot_w = in_ch * in_w;
                 let ring_words = if resident { kernel * slot_w } else { 0 };
-                let chunk_addr = BufAddr(plan.in_addr.0 + ring_words as u64);
+                let chunk_addr = BufAddr(in_addr + ring_words as u64);
+                let window_words = in_ch * kernel * kernel;
                 ring.clear();
                 ring.resize(ring_words, 0);
-                merged.resize(plan.outputs, 0);
+                merged.resize(layer.outputs, 0);
                 let mut staged_rows = 0usize;
                 for oy in 0..out_h {
                     // Stage the not-yet-resident input rows this output
@@ -973,14 +866,14 @@ impl CommandRunner {
                         for ic in 0..in_ch {
                             let base = (ic * in_h + iy) * in_w;
                             bank.buffer_mut().store(
-                                BufAddr(plan.in_addr.0 + (slot + ic * in_w) as u64),
+                                BufAddr(in_addr + (slot + ic * in_w) as u64),
                                 &codes[base..base + in_w],
                             )?;
                         }
                         // Read the slot back: gathers consume the
                         // buffer-resident rows through the scratch mirror.
                         bank.buffer_mut().load_into(
-                            BufAddr(plan.in_addr.0 + slot as u64),
+                            BufAddr(in_addr + slot as u64),
                             slot_w,
                             row_slot,
                         )?;
@@ -994,9 +887,9 @@ impl CommandRunner {
                         window.clear();
                         for ox in ox0..ox0 + pixels {
                             if resident {
-                                Self::gather_window_from_ring(&plan.op, ring, oy, ox, window);
+                                Self::gather_window_from_ring(&layer.op, ring, oy, ox, window);
                             } else {
-                                Self::gather_window(&plan.op, codes, oy, ox, window);
+                                Self::gather_window(&layer.op, codes, oy, ox, window);
                             }
                         }
                         phase_add(phases, t, |ph| &mut ph.gather_ns);
@@ -1004,7 +897,7 @@ impl CommandRunner {
                         bank.buffer_mut().store(chunk_addr, window)?;
                         phase_add(phases, t, |ph| &mut ph.stage_ns);
                         let t = phase_mark(phases.is_some());
-                        let staged = (chunk_addr, window.as_slice(), pixels);
+                        let staged = (chunk_addr, pixels, window_words);
                         Self::eval_tiles(plan, bank, staged, out_ch, acc, bank_scratch, tile_out)?;
                         phase_add(phases, t, |ph| &mut ph.eval_ns);
                         let t = phase_mark(phases.is_some());
@@ -1022,11 +915,11 @@ impl CommandRunner {
                 for c in 0..channels {
                     for oy in 0..in_h / win {
                         for ox in 0..in_w / win {
-                            Self::gather_pool_window(&plan.op, codes, c, oy, ox, window);
+                            Self::gather_pool_window(&layer.op, codes, c, oy, ox, window);
                             // Stage the candidates for the pooling
                             // unit's registers.
-                            bank.buffer_mut().store(plan.in_addr, window)?;
-                            merged.push(Self::pool_reduce(&plan.op, window)?);
+                            bank.buffer_mut().store(BufAddr(in_addr), window)?;
+                            merged.push(Self::pool_reduce(&layer.op, window)?);
                         }
                     }
                 }
@@ -1036,22 +929,21 @@ impl CommandRunner {
     }
 
     /// Evaluates every tile of a weight layer on a staged chunk of
-    /// windows — `(addr, windows, pixels)`: `pixels` equal-length windows
-    /// staged pixel-major at buffer address `addr` — and leaves pixel
+    /// windows — `(addr, pixels, stride)`: `pixels` windows staged
+    /// `stride` words apart from buffer address `addr` — and leaves pixel
     /// `p`'s merged sums of the layer's `features` outputs in
-    /// `acc[p * features..]`. Per tile, one latch load covers the tile's
-    /// rows of every window, then the mat evaluates each window in turn:
-    /// tiles outer, pixels inner, the order read noise draws in.
+    /// `acc[p * features..]`. Per tile, one `load` latches the tile's rows
+    /// of every window, and the mat evaluates the latched windows in
+    /// turn: tiles outer, pixels inner, the order read noise draws in.
     fn eval_tiles(
         plan: &PlannedLayer,
         bank: &mut BankController,
-        (addr, windows, pixels): (BufAddr, &[i64], usize),
+        (addr, pixels, stride): (BufAddr, usize, usize),
         features: usize,
         acc: &mut Vec<PrecisionController>,
         bank_scratch: &mut BankScratch,
         tile_out: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
-        let stride = windows.len() / pixels;
         acc.clear();
         acc.resize_with(pixels * features, PrecisionController::new);
         for p in 0..pixels {
@@ -1067,13 +959,13 @@ impl CommandRunner {
                 to: FfAddr { mat: tile.mat, offset: 0 },
                 bytes: (((pixels - 1) * stride + r1 - r0) * 8) as u64,
             })?;
+            bank.compute_windows_into(tile.mat, (pixels, stride), bank_scratch, tile_out)?;
+            // Expand the tile's truncated codes back to full-precision
+            // units before the merge add.
+            let cols = c1 - c0;
             for p in 0..pixels {
-                let win = &windows[p * stride + r0..p * stride + r1];
-                bank.compute_mat_words_into(tile.mat, win, bank_scratch, tile_out)?;
-                // Expand the tile's truncated codes back to
-                // full-precision units before the merge add.
                 let sums = &mut acc[p * features + c0..p * features + c1];
-                for (o, &v) in sums.iter_mut().zip(tile_out.iter()) {
+                for (o, &v) in sums.iter_mut().zip(&tile_out[p * cols..(p + 1) * cols]) {
                     o.accumulate(v, tile.shift);
                 }
             }
@@ -1345,7 +1237,7 @@ impl CommandRunner {
     /// Returns [`PrimeError::MappingMismatch`] on a mis-sized input or an
     /// empty plan.
     pub fn quantize_input(&self, input: &[f32], codes: &mut Vec<i64>) -> Result<(), PrimeError> {
-        let first = self.layers.first().ok_or(PrimeError::MappingMismatch {
+        let first = self.program.layers.first().ok_or(PrimeError::MappingMismatch {
             reason: "empty plan".to_string(),
         })?;
         if input.len() != first.inputs {
@@ -1410,26 +1302,27 @@ impl CommandRunner {
         mut layer_ns: Option<&mut Vec<f64>>,
         mut conv_phases: Option<&mut ConvPhases>,
     ) -> Result<(), PrimeError> {
-        let (start, end) = self.stages[stage].layers;
+        let (start, end) = self.program.stages[stage].layers;
         let code_max = i64::from(self.scheme.input_code_max());
-        for (index, plan) in self.layers.iter().enumerate().take(end).skip(start) {
+        for index in start..end {
+            let (layer, plan) = (&self.program.layers[index], &self.layers[index]);
             let stopwatch = layer_ns.is_some().then(std::time::Instant::now);
-            let is_conv = matches!(plan.op, ProgramOp::Conv { .. });
+            let is_conv = matches!(layer.op, ProgramOp::Conv { .. });
             let mut phases = conv_phases.as_deref_mut().filter(|_| is_conv);
-            Self::eval_layer(plan, bank, scratch, codes, &mut phases)?;
+            Self::eval_layer(layer, plan, bank, scratch, codes, &mut phases)?;
             let t = phase_mark(phases.is_some());
             let is_final = index + 1 == self.layers.len();
             if is_final {
                 let out = out.as_deref_mut().ok_or(PrimeError::MappingMismatch {
                     reason: "final stage requires an output buffer".to_string(),
                 })?;
-                let unit = self.output_scale / f32::from(plan.requant_shift).exp2();
+                let unit = self.output_scale / f32::from(layer.requant_shift).exp2();
                 out.clear();
                 out.extend(scratch.merged.iter().map(|&v| plan.activation.apply(v) as f32 * unit));
             } else {
                 codes.clear();
                 codes.extend(scratch.merged.iter().map(|&v| {
-                    Self::next_code(plan.activation, plan.requant_shift, code_max, v)
+                    Self::next_code(plan.activation, layer.requant_shift, code_max, v)
                 }));
             }
             phase_add(&mut phases, t, |ph| &mut ph.emit_ns);
@@ -1439,8 +1332,8 @@ impl CommandRunner {
             // FC activations are buffer-resident between layers; conv and
             // pool feature maps stay in the Mem subarrays (only windows
             // and boundary bursts touch the buffer).
-            if !is_final && matches!(plan.op, ProgramOp::Fc) {
-                bank.buffer_mut().store(plan.out_addr, codes)?;
+            if !is_final && matches!(layer.op, ProgramOp::Fc) {
+                bank.buffer_mut().store(BufAddr(layer.out_addr), codes)?;
             }
         }
         Ok(())
@@ -1450,7 +1343,7 @@ impl CommandRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prime_nn::{Conv2d, FullyConnected, Pool2d};
+    use prime_nn::{Conv2d, FullyConnected, Pool2d, PoolKind};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1669,6 +1562,47 @@ mod tests {
         );
     }
 
+    /// The runtime stage gate: a malformed caller-supplied stage list is
+    /// a typed error, refused before any command reaches a bank.
+    #[test]
+    fn compile_pipeline_rejects_malformed_stage_lists() {
+        let mut rng = SmallRng::seed_from_u64(26);
+        let mut net = Network::new(vec![
+            Layer::Fc(FullyConnected::new(20, 12, Activation::Relu)),
+            Layer::Fc(FullyConnected::new(12, 8, Activation::Relu)),
+            Layer::Fc(FullyConnected::new(8, 4, Activation::Identity)),
+        ])
+        .expect("widths match");
+        net.init_random(&mut rng);
+        let stage = |bank: usize, layers: &[usize]| PipelineStage {
+            bank,
+            layers: layers.to_vec(),
+            mats: 1,
+        };
+        let fresh = || -> Vec<BankController> {
+            (0..3).map(|_| BankController::new(1, 4, 1024, 256)).collect()
+        };
+        let cases = [
+            ("non-increasing banks", vec![stage(1, &[0]), stage(1, &[1]), stage(2, &[2])]),
+            ("a gap in layer coverage", vec![stage(0, &[0]), stage(1, &[2])]),
+            ("a bank past the end of the slice", vec![stage(0, &[0, 1]), stage(3, &[2])]),
+            ("an empty stage", vec![stage(0, &[0, 1]), stage(1, &[]), stage(2, &[2])]),
+            ("coverage short of the last layer", vec![stage(0, &[0]), stage(1, &[1])]),
+        ];
+        for (what, pipeline) in cases {
+            let mut banks = fresh();
+            let result = CommandRunner::compile_pipeline(&net, &mut banks, &pipeline, &[0.5; 20]);
+            assert!(
+                matches!(result, Err(PrimeError::MappingMismatch { .. })),
+                "{what}: {result:?}"
+            );
+            assert!(banks == fresh(), "{what}: a refused stage list must leave every bank new");
+        }
+        // The same banks take a legal three-stage list.
+        let legal = [stage(0, &[0]), stage(1, &[1]), stage(2, &[2])];
+        CommandRunner::compile_pipeline(&net, &mut fresh(), &legal, &[0.5; 20]).expect("legal");
+    }
+
     #[test]
     fn command_runner_respects_mat_budget() {
         let mut rng = SmallRng::seed_from_u64(24);
@@ -1829,14 +1763,14 @@ mod tests {
             CommandRunner::compile(&net, &mut fallback_ctl, &input).expect("compiles");
         assert!(
             matches!(
-                resident_runner.layers[0].op,
+                resident_runner.program.layers[0].op,
                 ProgramOp::Conv { resident: true, chunk_pixels: 10, .. }
             ),
             "4096-word buffer must take the weight-stationary schedule"
         );
         assert!(
             matches!(
-                fallback_runner.layers[0].op,
+                fallback_runner.program.layers[0].op,
                 ProgramOp::Conv { resident: false, chunk_pixels: 1, .. }
             ),
             "1024-word buffer must fall back to per-pixel staging"

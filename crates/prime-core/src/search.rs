@@ -190,30 +190,23 @@ fn verify_candidate(
     Ok(mapping)
 }
 
-/// Runs the mapping search: enumerate, verify, score, argmin.
+/// Runs the mapping search under `objective`: enumerate, verify, score,
+/// argmin.
 ///
-/// [`Objective::Fixed`] scores only the default candidate;
-/// [`Objective::Latency`] scores every enumerated one. Every candidate
-/// that compiles and passes the static verifiers is scored with
-/// `model`; the lowest `(interval_ns, image_ns)` is marked
-/// [`CandidateVerdict::Chosen`] (ties keep the earliest candidate, i.e.
-/// the fixed default when it is involved). A search where nothing
-/// survives returns a report whose [`MappingSearch::chosen`] is `None`;
-/// the caller decides whether that is fatal.
+/// Every enumerated candidate that compiles and passes the static
+/// verifiers is scored with `model`; the lowest `(interval_ns,
+/// image_ns)` is marked [`CandidateVerdict::Chosen`] (ties keep the
+/// earliest candidate, i.e. the fixed default when it is involved). A
+/// search where nothing survives returns a report whose
+/// [`MappingSearch::chosen`] is `None`; the caller decides whether that
+/// is fatal.
 pub fn search_mapping(
     spec: &NetworkSpec,
     target: &prime_analyze::Target,
     objective: Objective,
     model: &dyn MappingCostModel,
 ) -> MappingSearch {
-    let options_list = match objective {
-        Objective::Fixed => vec![CompileOptions {
-            replicate: false,
-            ..CompileOptions::default()
-        }],
-        Objective::Latency => enumerate_candidates(spec, &target.hw),
-    };
-    let mut candidates: Vec<CandidateReport> = options_list
+    let mut candidates: Vec<CandidateReport> = enumerate_candidates(spec, &target.hw)
         .into_iter()
         .map(|options| match verify_candidate(spec, target, options) {
             Ok(mapping) => CandidateReport {
@@ -318,17 +311,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fixed_objective_searches_only_the_default_candidate() {
-        let target = Target::prime_default();
-        let search = search_mapping(&MlBench::MlpS.spec(), &target, Objective::Fixed, &ToyModel);
-        assert_eq!(search.candidates.len(), 1);
-        assert_eq!(
-            search.chosen().map(|c| c.options),
-            Some(CompileOptions { replicate: false, ..CompileOptions::default() })
-        );
     }
 
     #[test]

@@ -277,12 +277,10 @@ impl PrimeSystem {
     /// latency argmin.
     /// Illegal candidates are pruned, not errors. The full search report
     /// — chosen candidate plus rejected alternatives — lands in
-    /// [`DeployStats::search`].
-    ///
-    /// [`Objective::Fixed`] skips the search entirely and behaves
-    /// exactly like [`deploy`](Self::deploy) — including leaving
-    /// `DeployStats::search` empty — so the pre-search path stays
-    /// bit-compatible.
+    /// [`DeployStats::search`]. The paper-default mapping
+    /// [`deploy`](Self::deploy) uses is the first candidate and wins
+    /// every tie, so a search that finds nothing strictly better deploys
+    /// it bit-identically.
     ///
     /// # Errors
     ///
@@ -295,9 +293,6 @@ impl PrimeSystem {
         objective: Objective,
         model: &dyn MappingCostModel,
     ) -> Result<(), PrimeError> {
-        if objective == Objective::Fixed {
-            return self.deploy(net, calibration);
-        }
         let spec = net.to_spec("deployed").map_err(PrimeError::Nn)?;
         let target = self.analysis_target();
         let search = search_mapping(&spec, &target, objective, model);

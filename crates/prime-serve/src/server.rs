@@ -97,11 +97,9 @@ impl Registry {
     /// the deployed system until [`Server::run`] hands it to the model's
     /// dispatcher.
     ///
-    /// `objective` selects the mapping: [`Objective::Fixed`] deploys the
-    /// paper-default mapping exactly as the pre-search path did, while
-    /// [`Objective::Latency`] enumerates candidate mappings, prunes
-    /// those the static verifiers reject, scores the rest with the
-    /// simulator-backed cost model, and deploys the argmin. The full
+    /// The search under `objective` enumerates candidate mappings,
+    /// prunes those the static verifiers reject, scores the rest with
+    /// the simulator-backed cost model, and deploys the argmin. The full
     /// search report — chosen candidate and rejected alternatives —
     /// lands in [`Registry::registration_log`].
     ///
@@ -140,10 +138,9 @@ impl Registry {
                 return Err(ServeError::Deploy { model: name.to_string(), error })
             }
         }
-        self.log.push(match system.deploy_stats().and_then(|s| s.search.as_ref()) {
-            Some(search) => format!("registered `{name}`: {}", search.describe()),
-            None => format!("registered `{name}`: fixed mapping"),
-        });
+        if let Some(search) = system.deploy_stats().and_then(|s| s.search.as_ref()) {
+            self.log.push(format!("registered `{name}`: {}", search.describe()));
+        }
         let runtime = ModelRuntime {
             name: name.to_string(),
             width: net.inputs(),

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use prime::analyze::{
-    analyze_program, lower_program, Code, ProgramOp, ProgramPlan, ProgramTile, Severity, Target,
+    analyze_program, lower_program, Code, ProgramPlan, ProgramTile, Severity, Target,
 };
 use prime::compiler::{map_network, CompileOptions, HwTarget, NetworkMapping};
 use prime::core::{BankController, CommandRunner, PrimeError, PrimeSystem};
@@ -56,16 +56,17 @@ fn lowered_workload_plans_are_clean() {
     }
 }
 
-/// `lower_program` derives its stage spans and buffer addressing from
-/// shapes alone and promises they match what `CommandRunner` compiles;
-/// the static Pass-3 audit (`analyze_workloads --program`) trusts that.
-/// Each network here is compiled and calibrated for real, and its
-/// exported plan is compared with the lowered one. Shifts differ by
-/// design (calibrated versus worst case). Tile counts differ in one
-/// pinned way: the compiler and verifier charge a bias row (`rows + 1`
-/// rows per layer) that the runner never programs, because it adds bias
-/// in the merge register, so a layer whose rows exactly fill its mats
-/// gets one more row of tiles from `lower_program`.
+/// `CommandRunner::compile_pipeline` compiles the layout `lower_layout`
+/// derives, and `lower_program` audits that same layout statically
+/// (`analyze_workloads --program`, the mapping search's Pass 3). Each
+/// network here is compiled and calibrated for real, and its exported
+/// plan must equal the lowered one in ops, widths, buffer addresses,
+/// stages, buffer words, recycle credits and tile counts (one tile per
+/// mat of weight rows, no bias row). Shifts differ by design
+/// (calibrated versus worst case). The bias row survives in one place:
+/// the compiler charges every weight layer `rows + 1` rows, though the
+/// runner adds bias in the merge register, so a layer whose rows exactly
+/// fill its mats is budgeted one more row of mats than the plan places.
 #[test]
 fn lowered_plans_mirror_the_compiled_runner() {
     let default = Target::prime_default();
@@ -97,7 +98,7 @@ fn lowered_plans_mirror_the_compiled_runner() {
             },
         ),
     ];
-    let mut bias_row_tiles = Vec::new();
+    let mut bias_row_mats = Vec::new();
     for (name, spec, target) in cases {
         let mut net = spec.to_network().expect("executable workload");
         net.init_random(&mut SmallRng::seed_from_u64(3));
@@ -122,27 +123,23 @@ fn lowered_plans_mirror_the_compiled_runner() {
         assert_eq!(compiled.layers.len(), lowered.layers.len(), "{name}: layers");
         for (i, (c, l)) in compiled.layers.iter().zip(&lowered.layers).enumerate() {
             assert_eq!(
-                (c.op, c.inputs, c.outputs, c.in_addr, c.out_addr),
-                (l.op, l.inputs, l.outputs, l.in_addr, l.out_addr),
+                (c.op, c.inputs, c.outputs, c.in_addr, c.out_addr, c.tiles.len()),
+                (l.op, l.inputs, l.outputs, l.in_addr, l.out_addr, l.tiles.len()),
                 "{name} layer {i}"
             );
-            let (rows, features) = match c.op {
-                ProgramOp::Fc => (c.inputs, c.outputs),
-                ProgramOp::Conv { in_ch, out_ch, kernel, .. } => (in_ch * kernel * kernel, out_ch),
-                ProgramOp::Pool { .. } => continue,
-            };
-            let col_tiles = features.div_ceil(hw.mat_cols);
-            let programmed = rows.div_ceil(hw.mat_rows) * col_tiles;
-            let charged = (rows + 1).div_ceil(hw.mat_rows) * col_tiles;
-            assert_eq!(c.tiles.len(), programmed, "{name} layer {i}");
-            assert_eq!(l.tiles.len(), charged, "{name} layer {i}: plus a bias row");
-            if c.tiles.len() != l.tiles.len() {
-                bias_row_tiles.push((name, i, c.tiles.len(), l.tiles.len()));
+            let programmed = l.weight_shape().map_or(0, |(rows, features)| {
+                rows.div_ceil(hw.mat_rows) * features.div_ceil(hw.mat_cols)
+            });
+            assert_eq!(l.tiles.len(), programmed, "{name} layer {i}: one tile per mat of rows");
+            let charged = mapping.layers[i].base_mats;
+            if charged != l.tiles.len() {
+                bias_row_mats.push((name, i, l.tiles.len(), charged));
             }
         }
     }
-    // Only VGG-D-class's 256→128 layer has rows that fill whole mats.
-    assert_eq!(bias_row_tiles, vec![("VGG-D-class", 4, 1, 2)]);
+    // Only VGG-D-class's 256→128 layer has rows that fill whole mats:
+    // its plan places 1 tile, and `map_network` still charges it 2 mats.
+    assert_eq!(bias_row_mats, vec![("VGG-D-class", 4, 1, 2)]);
 }
 
 /// The spec of a fully-connected stack.

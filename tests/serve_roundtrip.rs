@@ -149,7 +149,7 @@ fn served_outputs_are_bit_identical_under_concurrent_clients() {
                 queue_bound: 0,
             },
             noise(),
-            Objective::Fixed,
+            Objective::Latency,
         )
         .expect("shedder deploys");
     let server = Server::bind("127.0.0.1:0", registry).expect("binds loopback");

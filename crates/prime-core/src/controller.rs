@@ -35,27 +35,6 @@ struct MigratedMat {
     rows: Vec<Vec<bool>>,
 }
 
-/// Reusable buffers for [`BankController::compute_windows_into`].
-///
-/// Holds the clamped input codes, the mat-level scratch, and the raw
-/// composed outputs. Buffers only grow (the `prime-device` scratch-buffer
-/// contract), so after the first compute at a given geometry repeated
-/// calls perform zero heap allocation. One scratch serves every mat of a
-/// bank.
-#[derive(Debug, Default, Clone)]
-pub struct BankScratch {
-    codes: Vec<u16>,
-    mat: MatScratch,
-    raw: Vec<i64>,
-}
-
-impl BankScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        BankScratch::default()
-    }
-}
-
 /// The per-bank PRIME controller with its FF subarrays, Buffer subarray,
 /// and a modelled Mem-subarray word space.
 ///
@@ -324,7 +303,7 @@ impl BankController {
     /// mode errors from the mat.
     pub fn compute_mat(&mut self, addr: MatAddr) -> Result<Vec<i64>, PrimeError> {
         let mut out = Vec::new();
-        self.compute_windows_into(addr, (1, 0), &mut BankScratch::new(), &mut out)?;
+        self.compute_windows_into(addr, (1, 0), &mut MatScratch::new(), &mut out)?;
         self.outputs.insert((addr.subarray, addr.mat), out.clone());
         Ok(out)
     }
@@ -338,7 +317,8 @@ impl BankController {
     /// The latch is the mat's only input: the computation consumes it
     /// (the next compute needs a new `load`), and later buffer writes do
     /// not reach it. The results go to the caller's merge adder, not the
-    /// output register. Each window evaluates digitally, or through the
+    /// output register. The mat evaluates the windows in one loop that
+    /// clamps and splits each window once: digitally, or through the
     /// analog domain while the bank has [read noise](Self::set_read_noise),
     /// drawing in window order. With a reused `scratch` and `out`, and the
     /// consumed latch recycled for the next `load`, the
@@ -353,12 +333,19 @@ impl BankController {
     pub fn compute_windows_into(
         &mut self,
         addr: MatAddr,
-        (windows, stride): (usize, usize),
-        scratch: &mut BankScratch,
+        windows: (usize, usize),
+        scratch: &mut MatScratch,
         out: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
         let staged = self.take_latch(addr)?;
-        let result = self.evaluate_windows(addr, &staged, (windows, stride), scratch, out);
+        let read_noise = self.read_noise.as_mut().map(|(noise, rng)| (&*noise, rng));
+        let result = self.ff[addr.subarray][addr.mat].compute_windows_into(
+            &staged,
+            windows,
+            read_noise,
+            scratch,
+            out,
+        );
         // Hand the consumed latch back to the pool for the next `load`.
         self.spare_latch = staged;
         result
@@ -371,44 +358,6 @@ impl BankController {
             .ok_or(PrimeError::MappingMismatch {
                 reason: "compute issued before load".to_string(),
             })
-    }
-
-    /// Drives each of the `windows` windows of a latched block, `stride`
-    /// words apart, through the mat — its codes clamped to the scheme's
-    /// input-code range — and leaves the output-unit results in `out`,
-    /// window-major.
-    fn evaluate_windows(
-        &mut self,
-        addr: MatAddr,
-        staged: &[i64],
-        (windows, stride): (usize, usize),
-        scratch: &mut BankScratch,
-        out: &mut Vec<i64>,
-    ) -> Result<(), PrimeError> {
-        let width = windows
-            .checked_sub(1)
-            .and_then(|gaps| gaps.checked_mul(stride))
-            .and_then(|skipped| staged.len().checked_sub(skipped))
-            .ok_or_else(|| PrimeError::MappingMismatch {
-                reason: format!(
-                    "{} latched words cannot hold {windows} window(s) {stride} apart",
-                    staged.len()
-                ),
-            })?;
-        let mat = &mut self.ff[addr.subarray][addr.mat];
-        let max_code = i64::from(mat.scheme().input_code_max());
-        let BankScratch { codes, mat: mat_scratch, raw } = scratch;
-        out.clear();
-        for window in (0..windows).map(|p| &staged[p * stride..p * stride + width]) {
-            codes.clear();
-            codes.extend(window.iter().map(|&v| v.clamp(0, max_code) as u16));
-            match &mut self.read_noise {
-                None => mat.compute_into(codes, mat_scratch, raw)?,
-                Some((noise, rng)) => mat.compute_analog_into(codes, noise, rng, mat_scratch, raw)?,
-            }
-            out.extend(raw.iter().map(|&v| mat.output_unit(v)));
-        }
-        Ok(())
     }
 
     /// Read half of an inter-bank transfer (paper §IV-B large-scale
@@ -624,7 +573,7 @@ mod tests {
     #[test]
     fn compute_without_a_load_fails() {
         let (mut ctrl, addr) = programmed_controller();
-        let (mut scratch, mut out) = (BankScratch::new(), Vec::new());
+        let (mut scratch, mut out) = (MatScratch::new(), Vec::new());
         let unloaded = |err: Result<_, PrimeError>| {
             matches!(err, Err(PrimeError::MappingMismatch { reason }) if reason.contains("before load"))
         };
@@ -646,7 +595,7 @@ mod tests {
         ctrl.buffer_mut().store(BufAddr(0), &block).unwrap();
         ctrl.execute(load(addr, 0, 16)).unwrap();
         ctrl.buffer_mut().store(BufAddr(0), &[63; 16]).unwrap();
-        let (mut scratch, mut out) = (BankScratch::new(), Vec::new());
+        let (mut scratch, mut out) = (MatScratch::new(), Vec::new());
         ctrl.compute_windows_into(addr, (3, 6), &mut scratch, &mut out).unwrap();
         let mut expected = Vec::new();
         for p in 0..3 {

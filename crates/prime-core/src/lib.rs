@@ -52,7 +52,7 @@ mod search;
 mod system;
 
 pub use buffer::BufferSubarray;
-pub use controller::{BankController, BankScratch};
+pub use controller::BankController;
 pub use error::PrimeError;
 pub use ff_mat::{FfMat, MatDatapath, MatScratch};
 pub use insitu::{InSituEpoch, InSituMlp};

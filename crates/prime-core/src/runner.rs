@@ -69,7 +69,8 @@ use prime_compiler::PipelineStage;
 use prime_mem::{BufAddr, Command, FfAddr, MatAddr, MatFunction};
 use prime_nn::{Activation, Layer, Network};
 
-use crate::controller::{BankController, BankScratch};
+use crate::controller::BankController;
+use crate::ff_mat::MatScratch;
 use crate::error::PrimeError;
 
 /// Reusable buffers for [`CommandRunner::infer_into`].
@@ -100,8 +101,8 @@ pub struct InferScratch {
     ring: Vec<i64>,
     /// One staged input row slot read back from the buffer.
     row_slot: Vec<i64>,
-    /// Controller-side compute buffers.
-    bank: BankScratch,
+    /// Mat-level compute buffers, shared by every mat of the bank.
+    bank: MatScratch,
 }
 
 impl InferScratch {
@@ -502,10 +503,12 @@ impl CommandRunner {
 
     /// Programs a quantized weight matrix onto the bank's FF mats, one
     /// tile per `(row span, column span)` of `spans`: allocates mats in
-    /// order, programs each tile's composed codes, and calibrates its SA
-    /// window against every window `op` reads from the calibration
-    /// activation `codes` (the full input for FC, every im2col window for
-    /// conv).
+    /// order and programs each tile's composed codes. Then it calibrates
+    /// every tile's SA window against every window `op` reads from the
+    /// calibration activation `codes` (the full input for FC, every
+    /// im2col window for conv): each window is gathered once and read by
+    /// every tile, whose peak full-precision sum comes from one sweep of
+    /// its signed plane.
     fn program_tiles(
         controller: &mut BankController,
         next_mat: &mut usize,
@@ -516,7 +519,7 @@ impl CommandRunner {
         let mats_per_subarray = controller.mats_per_subarray();
         let total_mats = controller.ff_subarrays() * mats_per_subarray;
         let mut tiles = Vec::new();
-        let mut window = Vec::new();
+        let mut tile_codes = Vec::new();
         for ((r0, r1), (c0, c1)) in spans {
             if *next_mat >= total_mats {
                 return Err(PrimeError::MappingMismatch {
@@ -528,12 +531,9 @@ impl CommandRunner {
                 mat: *next_mat % mats_per_subarray,
             };
             *next_mat += 1;
-            let (tr, tc) = (r1 - r0, c1 - c0);
-            let mut tile_codes = Vec::with_capacity(tr * tc);
+            tile_codes.clear();
             for r in r0..r1 {
-                for c in c0..c1 {
-                    tile_codes.push(weight_code(r, c));
-                }
+                tile_codes.extend((c0..c1).map(|c| weight_code(r, c)));
             }
             controller.execute(Command::SetFunction {
                 mat,
@@ -541,42 +541,38 @@ impl CommandRunner {
             })?;
             controller
                 .mat_mut(mat)
-                .program_composed(&tile_codes, tr, tc)?;
+                .program_composed(&tile_codes, r1 - r0, c1 - c0)?;
             controller.execute(Command::SetFunction {
                 mat,
                 function: MatFunction::Compute,
             })?;
-            // Calibrate the SA window on the calibration windows.
-            let mut max_abs = 1i64;
-            let mut sense = |v: &[i64]| {
-                for c in 0..tc {
-                    let mut acc = 0i64;
-                    for (r, &x) in v[r0..r1].iter().enumerate() {
-                        acc += x * i64::from(tile_codes[r * tc + c]);
-                    }
-                    max_abs = max_abs.max(acc.abs());
-                }
-            };
-            match *op {
-                ProgramOp::Conv { out_h, out_w, .. } => {
-                    for oy in 0..out_h {
-                        for ox in 0..out_w {
-                            window.clear();
-                            Self::gather_window(op, codes, oy, ox, &mut window);
-                            sense(&window);
-                        }
-                    }
-                }
-                _ => sense(codes),
+            tiles.push(PlannedTile { mat, rows: (r0, r1), cols: (c0, c1), shift: 0 });
+        }
+        // Calibrate the SA windows on the calibration windows.
+        let mut peaks = vec![1i64; tiles.len()];
+        let (mut window, mut sums) = (Vec::new(), Vec::new());
+        let mut sense = |v: &[i64]| {
+            for (tile, peak) in tiles.iter().zip(peaks.iter_mut()) {
+                let rows = &v[tile.rows.0..tile.rows.1];
+                *peak = (*peak).max(controller.mat(tile.mat).full_precision_peak(rows, &mut sums));
             }
-            controller.mat_mut(mat).calibrate_output_window(2 * max_abs);
-            let shift = controller.mat(mat).output_shift();
-            tiles.push(PlannedTile {
-                mat,
-                rows: (r0, r1),
-                cols: (c0, c1),
-                shift,
-            });
+        };
+        match *op {
+            ProgramOp::Conv { out_h, out_w, .. } => {
+                for oy in 0..out_h {
+                    for ox in 0..out_w {
+                        window.clear();
+                        Self::gather_window(op, codes, oy, ox, &mut window);
+                        sense(&window);
+                    }
+                }
+            }
+            _ => sense(codes),
+        }
+        for (tile, peak) in tiles.iter_mut().zip(peaks) {
+            let mat = controller.mat_mut(tile.mat);
+            mat.calibrate_output_window(2 * peak);
+            tile.shift = mat.output_shift();
         }
         Ok(tiles)
     }
@@ -941,7 +937,7 @@ impl CommandRunner {
         (addr, pixels, stride): (BufAddr, usize, usize),
         features: usize,
         acc: &mut Vec<PrecisionController>,
-        bank_scratch: &mut BankScratch,
+        bank_scratch: &mut MatScratch,
         tile_out: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
         acc.clear();

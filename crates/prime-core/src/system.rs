@@ -21,7 +21,7 @@
 use std::collections::HashSet;
 use std::iter::StepBy;
 use std::ops::Range;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -471,7 +471,7 @@ impl PrimeSystem {
                     let bytes = mat.tile_state_bytes();
                     dense += bytes;
                     if let Some(tile) = mat.shared_tile() {
-                        if seen.insert(Arc::as_ptr(tile)) {
+                        if seen.insert(std::ptr::from_ref(tile)) {
                             unique += 1;
                             resident += bytes;
                         } else {
@@ -1000,6 +1000,23 @@ mod tests {
         assert_eq!(s.resident_bytes * s.copies, s.dense_bytes);
         assert_eq!(system.resident_state_bytes(), s.resident_bytes);
         assert_eq!(one.aliased_placements, 0);
+    }
+
+    #[test]
+    fn resident_state_counts_each_shared_plane_once() {
+        let mut rng = SmallRng::seed_from_u64(303);
+        let net = relu_net(&mut rng);
+        let mut system = PrimeSystem::new(4, 2, 4, 2048);
+        system.deploy(&net, &[0.5; 12]).unwrap();
+        // 12-8-3: two unique tiles, each a pair of byte-per-cell 256x256
+        // arrays plus the i16 plane of its programmed region (rows x
+        // 2 * cols), derived by deploy-time calibration. The four copies
+        // alias both, so each plane counts once.
+        let tile_bytes = |rows: usize, cols: usize| 2 * 256 * 256 + 2 * rows * 2 * cols;
+        let unique = tile_bytes(12, 8) + tile_bytes(8, 3);
+        assert_eq!(system.resident_state_bytes(), unique);
+        let stats = system.deploy_stats().expect("stats after deploy");
+        assert_eq!((stats.resident_bytes, stats.dense_bytes), (unique, 4 * unique));
     }
 
     #[test]

@@ -55,8 +55,10 @@ pub struct Crossbar {
     rows: usize,
     cols: usize,
     spec: MlcSpec,
-    /// Nominal digital level of each cell, row-major.
-    levels: Vec<u16>,
+    /// Nominal digital level of each cell, row-major. [`MlcSpec`] caps a
+    /// cell at 8 bits, so a byte holds every level; the public API still
+    /// speaks `u16` levels.
+    levels: Vec<u8>,
     /// Actual programmed conductance of each cell, row-major. `None` means
     /// every cell sits at its *nominal* conductance (derived from its level
     /// on demand); the vector is only materialized when noisy programming
@@ -113,7 +115,7 @@ impl Crossbar {
     /// Bytes of heap state resident for this array (levels plus the analog
     /// conductance shadow when it has been materialized).
     pub fn state_bytes(&self) -> usize {
-        self.levels.len() * core::mem::size_of::<u16>()
+        self.levels.len() * core::mem::size_of::<u8>()
             + self
                 .conductances
                 .as_ref()
@@ -145,7 +147,14 @@ impl Crossbar {
     ///
     /// Returns [`DeviceError::IndexOutOfBounds`] for an invalid coordinate.
     pub fn level(&self, row: usize, col: usize) -> Result<u16, DeviceError> {
-        Ok(self.levels[self.index(row, col)?])
+        Ok(u16::from(self.levels[self.index(row, col)?]))
+    }
+
+    /// `level` as a stored cell byte, rejecting levels past the spec.
+    fn cell(&self, level: u16) -> Result<u8, DeviceError> {
+        self.spec.try_conductance(level)?;
+        // `level <= max_level <= 255` (MlcSpec admits at most 8 bits).
+        Ok(u8::try_from(level).unwrap_or(u8::MAX))
     }
 
     /// Programs one cell to `level` with an ideal (noise-free) write.
@@ -156,10 +165,9 @@ impl Crossbar {
     /// [`DeviceError::LevelOutOfRange`].
     pub fn program(&mut self, row: usize, col: usize, level: u16) -> Result<(), DeviceError> {
         let idx = self.index(row, col)?;
-        let g = self.spec.try_conductance(level)?;
-        self.levels[idx] = level;
+        self.levels[idx] = self.cell(level)?;
         if let Some(conductances) = &mut self.conductances {
-            conductances[idx] = g;
+            conductances[idx] = self.spec.conductance(level);
         }
         self.writes += 1;
         Ok(())
@@ -181,9 +189,11 @@ impl Crossbar {
         }
         // Validate before mutating so a failed bulk program is atomic.
         for &level in matrix {
-            self.spec.try_conductance(level)?;
+            self.cell(level)?;
         }
-        self.levels.copy_from_slice(matrix);
+        for (cell, &level) in self.levels.iter_mut().zip(matrix) {
+            *cell = u8::try_from(level).unwrap_or(u8::MAX);
+        }
         if let Some(conductances) = &mut self.conductances {
             for (g, &level) in conductances.iter_mut().zip(matrix) {
                 *g = self.spec.conductance(level);
@@ -230,12 +240,14 @@ impl Crossbar {
         }
         // Validate before mutating so a failed bulk program is atomic.
         for &level in levels {
-            self.spec.try_conductance(level)?;
+            self.cell(level)?;
         }
         let spec = self.spec;
         for (r, block_row) in levels.chunks_exact(width).enumerate() {
             let base = (row0 + r) * self.cols + col0;
-            self.levels[base..base + width].copy_from_slice(block_row);
+            for (cell, &level) in self.levels[base..base + width].iter_mut().zip(block_row) {
+                *cell = u8::try_from(level).unwrap_or(u8::MAX);
+            }
             if let Some(conductances) = &mut self.conductances {
                 for (g, &level) in conductances[base..base + width].iter_mut().zip(block_row) {
                     *g = spec.conductance(level);
@@ -261,7 +273,7 @@ impl Crossbar {
         conductances.extend(
             levels
                 .iter()
-                .map(|&level| noise.perturb_conductance(spec.conductance(level), rng)),
+                .map(|&level| noise.perturb_conductance(spec.conductance(level.into()), rng)),
         );
     }
 
@@ -332,13 +344,17 @@ impl Crossbar {
                 continue;
             }
             let a = u64::from(a);
-            let base = row * self.cols;
-            let row_levels = &self.levels[base..base + span];
-            for (o, &w) in out.iter_mut().zip(row_levels) {
+            for (o, &w) in out.iter_mut().zip(self.row_levels(row, span)) {
                 *o += a * u64::from(w);
             }
         }
         Ok(())
+    }
+
+    /// Row `row`'s stored cell levels over the first `span` bitlines.
+    fn row_levels(&self, row: usize, span: usize) -> &[u8] {
+        let base = row * self.cols;
+        &self.levels[base..base + span]
     }
 
     /// Analog matrix-vector product through the voltage/conductance domain.
@@ -435,27 +451,32 @@ impl Crossbar {
         let span = span.min(self.cols);
         currents.clear();
         currents.resize(span, 0.0);
+        // Unmaterialized shadow: every cell sits at its nominal
+        // conductance, looked up per level in a table `spec.conductance`
+        // fills, so the products are bit-identical to the materialized
+        // path's (and to calling `conductance` per cell).
+        let mut nominal = [0.0f64; 256];
+        if self.conductances.is_none() {
+            for (level, g) in (0..self.spec.levels()).zip(nominal.iter_mut()) {
+                *g = self.spec.conductance(level);
+            }
+        }
         for (row, &a) in input.iter().enumerate() {
             if a == 0 {
                 continue;
             }
             let v = READ_VOLTAGE_V * f64::from(a) / f64::from(max_code);
-            let base = row * self.cols;
             match &self.conductances {
                 Some(conductances) => {
+                    let base = row * self.cols;
                     let row_g = &conductances[base..base + span];
                     for (c, &g) in currents.iter_mut().zip(row_g) {
                         *c += v * g;
                     }
                 }
-                // Unmaterialized shadow: every cell is at its nominal
-                // conductance, derived from the level on the fly. The
-                // products are bit-identical to the materialized path
-                // because `spec.conductance` is deterministic.
                 None => {
-                    let row_levels = &self.levels[base..base + span];
-                    for (c, &l) in currents.iter_mut().zip(row_levels) {
-                        *c += v * self.spec.conductance(l);
+                    for (c, &l) in currents.iter_mut().zip(self.row_levels(row, span)) {
+                        *c += v * nominal[usize::from(l)];
                     }
                 }
             }
@@ -523,8 +544,9 @@ impl Crossbar {
     /// clamping stored levels to the new range.
     pub fn morph(&mut self, spec: MlcSpec) {
         self.spec = spec;
+        let max = u8::try_from(spec.max_level()).unwrap_or(u8::MAX);
         for level in self.levels.iter_mut() {
-            *level = (*level).min(spec.max_level());
+            *level = (*level).min(max);
         }
         // Re-programming every cell for the new mode resets any perturbed
         // conductances to nominal, so the shadow collapses back to lazy.
@@ -532,15 +554,14 @@ impl Crossbar {
     }
 }
 
-/// Reusable per-polarity buffers for [`PairedCrossbar`] dot products.
+/// Reusable per-polarity bitline currents for [`PairedCrossbar`]'s
+/// analog dot products.
 ///
-/// Holding one of these across calls makes `dot_signed_into` /
-/// `dot_signed_analog_into` allocation-free in steady state: each buffer
-/// grows to the pair's column count on first use and is then reused.
+/// Holding one of these across calls makes `dot_signed_analog_into`
+/// allocation-free in steady state: each buffer grows to the pair's
+/// column count on first use and is then reused.
 #[derive(Debug, Default, Clone)]
 pub struct PairScratch {
-    pos: Vec<u64>,
-    neg: Vec<u64>,
     pos_currents: Vec<f64>,
     neg_currents: Vec<f64>,
 }
@@ -762,59 +783,59 @@ impl PairedCrossbar {
     ///
     /// Returns [`DeviceError::InputLengthMismatch`].
     pub fn dot_signed(&self, input: &[u16]) -> Result<Vec<i64>, DeviceError> {
-        let mut scratch = PairScratch::new();
         let mut out = Vec::new();
-        self.dot_signed_into(input, &mut scratch, &mut out)?;
+        self.dot_signed_into(input, &mut out)?;
         Ok(out)
     }
 
-    /// [`dot_signed`](Self::dot_signed) into caller-owned buffers.
+    /// [`dot_signed`](Self::dot_signed) into a caller-owned buffer.
     ///
-    /// `out` is cleared and resized to `cols`; with a reused `scratch`,
-    /// repeated calls at the same geometry perform no heap allocation.
+    /// One sweep over both polarity arrays accumulates `p - n` per cell,
+    /// so no per-polarity intermediate is needed. `out` is cleared and
+    /// resized to `cols`; repeated calls at the same geometry perform no
+    /// heap allocation.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::InputLengthMismatch`].
-    pub fn dot_signed_into(
-        &self,
-        input: &[u16],
-        scratch: &mut PairScratch,
-        out: &mut Vec<i64>,
-    ) -> Result<(), DeviceError> {
-        if input.len() != self.positive.rows() {
+    pub fn dot_signed_into(&self, input: &[u16], out: &mut Vec<i64>) -> Result<(), DeviceError> {
+        if input.len() != self.rows() {
             return Err(DeviceError::InputLengthMismatch {
                 got: input.len(),
-                expected: self.positive.rows(),
+                expected: self.rows(),
             });
         }
-        self.dot_signed_span_into(input, self.positive.cols(), scratch, out)
+        let cols = self.cols();
+        out.clear();
+        out.resize(cols, 0);
+        for (row, &a) in input.iter().enumerate() {
+            if a == 0 {
+                continue;
+            }
+            let a = i64::from(a);
+            let pos = self.positive.row_levels(row, cols);
+            let neg = self.negative.row_levels(row, cols);
+            for ((o, &p), &n) in out.iter_mut().zip(pos).zip(neg) {
+                *o += a * (i64::from(p) - i64::from(n));
+            }
+        }
+        Ok(())
     }
 
-    /// [`dot_signed_into`](Self::dot_signed_into) restricted to the first
-    /// `span` bitlines of both polarity arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InputLengthMismatch`].
-    pub fn dot_signed_span_into(
-        &self,
-        input: &[u16],
-        span: usize,
-        scratch: &mut PairScratch,
-        out: &mut Vec<i64>,
-    ) -> Result<(), DeviceError> {
-        self.positive.dot_span_into(input, span, &mut scratch.pos)?;
-        self.negative.dot_span_into(input, span, &mut scratch.neg)?;
-        out.clear();
-        out.extend(
-            scratch
-                .pos
-                .iter()
-                .zip(&scratch.neg)
-                .map(|(&p, &n)| p as i64 - n as i64),
-        );
-        Ok(())
+    /// The composed `p - n` level of every cell pair in the top-left
+    /// `rows x span` region, row-major: the signed weight plane a
+    /// digital evaluation sweeps in place of the two polarity arrays.
+    /// Each entry fits an `i16`, since a cell holds at most 8 bits
+    /// (`|p - n| <= 255`). `rows` and `span` are clamped to the pair.
+    pub fn signed_plane(&self, rows: usize, span: usize) -> Vec<i16> {
+        let (rows, span) = (rows.min(self.rows()), span.min(self.cols()));
+        let mut plane = Vec::with_capacity(rows * span);
+        for row in 0..rows {
+            let pos = self.positive.row_levels(row, span);
+            let neg = self.negative.row_levels(row, span);
+            plane.extend(pos.iter().zip(neg).map(|(&p, &n)| i16::from(p) - i16::from(n)));
+        }
+        plane
     }
 
     /// Applies programming noise to both polarity arrays.
@@ -1145,6 +1166,25 @@ mod tests {
         // Out-of-range magnitude leaves both arrays untouched.
         assert!(chunked.program_signed_region(0, 0, 2, &[1, -16]).is_err());
         assert_eq!(chunked.signed_weight(0, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn signed_plane_holds_each_pairs_composed_level() {
+        let spec = MlcSpec::new(8).unwrap();
+        let mut pair = PairedCrossbar::new(4, 6, spec);
+        let mut weights: Vec<i32> = (0..24).map(|i| (i * 53 % 511) - 255).collect();
+        (weights[0], weights[7]) = (255, -255);
+        pair.program_signed_matrix(&weights).unwrap();
+        // The region is clamped to the pair and read row-major.
+        let plane = pair.signed_plane(9, 5);
+        assert_eq!(plane.len(), 4 * 5);
+        for row in 0..4 {
+            for col in 0..5 {
+                let w = pair.signed_weight(row, col).unwrap();
+                assert_eq!(i32::from(plane[row * 5 + col]), w);
+            }
+        }
+        assert!(plane.contains(&255) && plane.contains(&-255));
     }
 
     #[test]

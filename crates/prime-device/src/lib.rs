@@ -49,8 +49,13 @@
 //!   `dot_into(x, &mut out)` produces, RNG draw for RNG draw on the
 //!   analog paths.
 //!
-//! [`PairScratch`] bundles the per-polarity intermediates the paired
-//! kernels need, so callers hold a single reusable object.
+//! [`PairScratch`] bundles the per-polarity bitline currents the paired
+//! analog kernel needs, so callers hold a single reusable object. The
+//! paired digital kernel sweeps both polarity arrays at once and needs
+//! no intermediate. A cell stores its level in one byte (MLC is at most
+//! 8 bits), and [`PairedCrossbar::signed_plane`] derives the pair's
+//! composed `p - n` levels as one `i16` plane, the form an FF mat keeps
+//! for digital evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::sense_amp::MAX_SA_BITS;
+
 /// The analog sigmoid unit \[63\].
 ///
 /// Digitally, the unit maps a signed accumulation to an unsigned
@@ -40,9 +42,10 @@ impl SigmoidUnit {
     ///
     /// # Panics
     ///
-    /// Panics if `out_bits` is 0 or above 8, or `scale` is not positive.
+    /// Panics if `out_bits` is 0 or above [`MAX_SA_BITS`], or `scale` is
+    /// not positive.
     pub fn new(out_bits: u8, scale: f64) -> Self {
-        assert!((1..=8).contains(&out_bits), "sigmoid output must be 1-8 bits");
+        assert!((1..=MAX_SA_BITS).contains(&out_bits), "sigmoid output must be 1-8 bits");
         assert!(scale > 0.0, "sigmoid input scale must be positive");
         SigmoidUnit { out_bits, scale, bypass: false }
     }

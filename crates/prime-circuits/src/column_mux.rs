@@ -75,11 +75,14 @@ impl ColumnMux {
     /// Returns [`CircuitError::PrecisionOutOfRange`] for an invalid SA
     /// width.
     pub fn new(out_bits: u8, sigmoid_scale: f64) -> Result<Self, CircuitError> {
+        // The SA refuses a bad width with an error; check it before the
+        // sigmoid, which panics on one.
+        let sa = ReconfigurableSa::new(out_bits)?;
         Ok(ColumnMux {
             mode: ColumnMode::Memory,
             subtraction: SubtractionUnit::new(),
             sigmoid: SigmoidUnit::new(out_bits, sigmoid_scale),
-            sa: ReconfigurableSa::new(out_bits)?,
+            sa,
         })
     }
 
@@ -149,6 +152,16 @@ mod tests {
         let s = SubtractionUnit::new();
         assert_eq!(s.subtract(10, 3), 7);
         assert_eq!(s.subtract(3, 10), -7);
+    }
+
+    #[test]
+    fn new_refuses_an_sa_width_above_8_bits() {
+        assert!(matches!(
+            ColumnMux::new(9, 64.0),
+            Err(CircuitError::PrecisionOutOfRange { requested: 9, max: 8 })
+        ));
+        assert!(ColumnMux::new(0, 64.0).is_err());
+        assert!(ColumnMux::new(8, 64.0).is_ok());
     }
 
     #[test]

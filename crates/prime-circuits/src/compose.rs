@@ -20,6 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::CircuitError;
+use crate::sense_amp::MAX_SA_BITS;
 
 /// The four partial dot products of a composed evaluation.
 ///
@@ -87,8 +88,9 @@ impl ComposingScheme {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidComposition`] if `pin` or `pw` is odd
-    /// or zero, if `po` is zero or exceeds the full precision
-    /// `pin + pw + pn`, or if any width is implausibly large (> 16).
+    /// or zero, if `po` is zero, wider than the reconfigurable SA
+    /// ([`MAX_SA_BITS`]) or wider than the full precision `pin + pw + pn`,
+    /// or if any width is implausibly large (> 16).
     pub fn new(pin: u8, pw: u8, po: u8, pn: u8) -> Result<Self, CircuitError> {
         if pin == 0 || !pin.is_multiple_of(2) {
             return Err(CircuitError::InvalidComposition {
@@ -105,6 +107,11 @@ impl ComposingScheme {
                 reason: "bit widths above 16 are not plausible hardware",
             });
         }
+        if po > MAX_SA_BITS {
+            return Err(CircuitError::InvalidComposition {
+                reason: "output width above 8 bits exceeds the reconfigurable SA",
+            });
+        }
         if po == 0 || po > pin + pw + pn {
             return Err(CircuitError::InvalidComposition {
                 reason: "output width must be in 1..=pin+pw+pn",
@@ -117,7 +124,8 @@ impl ComposingScheme {
     /// (256-input mats).
     pub const fn prime_default() -> Self {
         // Constructed directly: even non-zero pin/pw, po within
-        // 1..=pin+pw+pn, all widths <= 16 — the `new` invariants hold.
+        // 1..=min(8, pin+pw+pn), all widths <= 16 — the `new` invariants
+        // hold.
         ComposingScheme { pin: 6, pw: 8, po: 6, pn: 8 }
     }
 
@@ -385,6 +393,9 @@ mod tests {
         assert!(ComposingScheme::new(6, 7, 6, 8).is_err()); // odd pw
         assert!(ComposingScheme::new(6, 8, 0, 8).is_err()); // zero po
         assert!(ComposingScheme::new(6, 8, 23, 8).is_err()); // po > full
+        assert!(ComposingScheme::new(6, 8, 9, 8).is_err()); // po > SA width
+        assert!(ComposingScheme::new(2, 2, 7, 2).is_err()); // po > full, <= SA
+        assert!(ComposingScheme::new(16, 16, 8, 8).is_ok()); // widest admitted
         assert!(ComposingScheme::new(18, 8, 6, 8).is_err()); // implausible
     }
 

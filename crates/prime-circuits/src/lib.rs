@@ -53,4 +53,4 @@ pub use compose::{part_sums, ComposingScheme, Part, PartSums};
 pub use driver::{DriverMode, WordlineDriver};
 pub use error::CircuitError;
 pub use pooling::{mean_pool_weights, MaxPoolUnit, MAX_POOL_DIFF_WEIGHTS};
-pub use sense_amp::{PrecisionController, ReconfigurableSa};
+pub use sense_amp::{PrecisionController, ReconfigurableSa, MAX_SA_BITS};

@@ -12,6 +12,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::CircuitError;
 
+/// The widest code the reconfigurable SA senses, in bits (the paper's
+/// fabrication-tested `Po <= 8`). The sigmoid unit and the composing
+/// scheme's output width share this ceiling.
+pub const MAX_SA_BITS: u8 = 8;
+
 /// The reconfigurable sense amplifier.
 ///
 /// Converting a full-precision bitline accumulation to an `n`-bit digital
@@ -38,16 +43,19 @@ pub struct ReconfigurableSa {
 }
 
 impl ReconfigurableSa {
-    /// Creates an SA with a maximum precision of `max_bits` (1-8), initially
-    /// configured at full precision.
+    /// Creates an SA with a maximum precision of `max_bits`
+    /// (1..=[`MAX_SA_BITS`]), initially configured at full precision.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::PrecisionOutOfRange`] if `max_bits` is 0 or
-    /// greater than 8.
+    /// greater than [`MAX_SA_BITS`].
     pub fn new(max_bits: u8) -> Result<Self, CircuitError> {
-        if max_bits == 0 || max_bits > 8 {
-            return Err(CircuitError::PrecisionOutOfRange { requested: max_bits, max: 8 });
+        if max_bits == 0 || max_bits > MAX_SA_BITS {
+            return Err(CircuitError::PrecisionOutOfRange {
+                requested: max_bits,
+                max: MAX_SA_BITS,
+            });
         }
         Ok(ReconfigurableSa { max_bits, precision: max_bits })
     }

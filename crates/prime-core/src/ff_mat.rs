@@ -1012,6 +1012,24 @@ mod tests {
     }
 
     #[test]
+    fn every_admitted_scheme_builds_a_mat() {
+        let mut built = [false; 9];
+        for pin in (2..=16).step_by(2) {
+            for pw in (2..=16).step_by(2) {
+                for po in 1..=16 {
+                    let Ok(scheme) = ComposingScheme::new(pin, pw, po, 8) else {
+                        continue;
+                    };
+                    assert!(po <= 8, "Po = {po} is wider than the SA");
+                    assert_eq!(FfMat::with_scheme(scheme).scheme(), scheme);
+                    built[usize::from(po)] = true;
+                }
+            }
+        }
+        assert!(built[1..].iter().all(|&b| b), "every Po in 1..=8 is admitted");
+    }
+
+    #[test]
     fn analog_compute_matches_digital_without_noise() {
         use prime_device::NoiseModel;
         use rand::SeedableRng;

@@ -91,8 +91,10 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let (pin, pw) = (2 * half_in, 2 * half_w);
-        // The sigmoid unit caps Po at 8 bits; Pin + Pw + PN for a
-        // one-row mat caps it too, so clamp to keep every case a scheme.
+        // Po is drawn up to the SA's 8 bits, the widest
+        // `ComposingScheme::new` admits. Programming re-derives PN from
+        // the row count, and Pin + Pw + PN for a one-row mat caps Po too,
+        // so clamp to keep every case a scheme.
         let po = po.min(pin + pw + 1);
         let scheme = ComposingScheme::new(pin, pw, po, 8).unwrap();
         let w_max = (1i32 << pw) - 1;

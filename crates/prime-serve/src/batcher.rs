@@ -1,10 +1,17 @@
-//! Time/size-windowed batch collection with bounded-queue admission
-//! control (DESIGN.md §14).
+//! Batch collection with bounded-queue admission control (DESIGN.md §14).
 //!
 //! The collector is a pure state machine over an *injected* clock: every
 //! operation takes the current time as a [`Duration`] since an arbitrary
 //! epoch, so the window logic is unit-testable without wall-clock sleeps
 //! and the server merely feeds it `Instant::elapsed` readings.
+//!
+//! The server's dispatcher is work-conserving: whenever it is free it
+//! flushes whatever is queued with [`take_batch`](BatchCollector::take_batch),
+//! so batches form only from jobs that arrived while the previous one
+//! ran. It never reads the window below; `max_delay`,
+//! [`poll`](BatchCollector::poll) and
+//! [`next_deadline`](BatchCollector::next_deadline) model a
+//! time-windowed policy for `prime-benchmark`'s batcher replay.
 //!
 //! Policy:
 //!
@@ -12,12 +19,12 @@
 //!   moment the pending count has reached `queue_bound` (shedding kicks
 //!   in *exactly at* the bound, never one past it) and reports the depth
 //!   so the caller can answer with a typed `Overloaded` response.
-//! * **Size trigger** — once `max_batch` jobs are pending,
-//!   [`poll`](BatchCollector::poll) flushes the oldest `max_batch` of
-//!   them immediately.
-//! * **Deadline trigger** — otherwise a flush happens when the *oldest*
-//!   pending job has waited `max_delay`, bounding the latency cost any
-//!   request pays for batching.
+//! * **Batch size** — a flush takes at most the oldest `max_batch`
+//!   pending jobs.
+//! * **Window (replay model)** — [`poll`](BatchCollector::poll) flushes
+//!   once `max_batch` jobs are pending or the *oldest* has waited
+//!   `max_delay`. This is the windowed policy the benchmark's replay
+//!   models; the server does not wait out a window.
 //! * **Fairness** — jobs flush strictly in arrival order (FIFO), across
 //!   flushes as well as within one.
 
@@ -27,11 +34,13 @@ use std::time::Duration;
 /// Batching and admission-control knobs for one model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Flush as soon as this many jobs are pending (size trigger). A
-    /// value of 0 behaves as 1: every job flushes alone.
+    /// The most jobs one flush takes. A value of 0 behaves as 1: every
+    /// job flushes alone.
     pub max_batch: usize,
-    /// Flush when the oldest pending job has waited this long (deadline
-    /// trigger).
+    /// The window of the time-windowed policy [`BatchCollector::poll`]
+    /// models for the benchmark's batcher replay: flush when the oldest
+    /// pending job has waited this long. The server does not read it;
+    /// its dispatcher flushes whenever it is free.
     pub max_delay: Duration,
     /// Admission bound: a job offered while this many are already
     /// pending is shed. A bound of 0 sheds everything (useful to test
@@ -40,8 +49,8 @@ pub struct BatchConfig {
 }
 
 impl BatchConfig {
-    /// A small, low-latency default: batches of up to 8, a 1 ms window,
-    /// and a 256-deep admission queue.
+    /// A small, low-latency default: batches of up to 8, a 1 ms replay
+    /// window, and a 256-deep admission queue.
     pub fn default_online() -> Self {
         BatchConfig {
             max_batch: 8,
@@ -66,7 +75,8 @@ pub enum Admission {
     },
 }
 
-/// The time/size-windowed batch collector.
+/// The batch collector: a FIFO of admitted jobs with their enqueue
+/// times.
 #[derive(Debug)]
 pub struct BatchCollector<T> {
     config: BatchConfig,
@@ -75,7 +85,7 @@ pub struct BatchCollector<T> {
 }
 
 impl<T> BatchCollector<T> {
-    /// Creates an empty collector with the given window/bound config.
+    /// Creates an empty collector with the given batch/bound config.
     pub fn new(config: BatchConfig) -> Self {
         BatchCollector { config, queue: VecDeque::new() }
     }
@@ -108,17 +118,20 @@ impl<T> BatchCollector<T> {
         Admission::Admitted
     }
 
-    /// When the oldest pending job's deadline expires (`None` when the
-    /// queue is empty). The dispatcher sleeps until this (or an offer
-    /// notification) before polling again.
+    /// When the oldest pending job's window expires under the replayed
+    /// time-windowed policy (`None` when the queue is empty). The
+    /// benchmark's replay advances its clock to this; the server does
+    /// not wait for it.
     pub fn next_deadline(&self) -> Option<Duration> {
         self.queue.front().map(|(_, t)| *t + self.config.max_delay)
     }
 
-    /// Flushes a batch if a trigger has fired at time `now`: the size
-    /// trigger (`max_batch` pending) or the deadline trigger (oldest job
-    /// waited `max_delay`). Returns the oldest `max_batch` jobs in
-    /// arrival order, or `None` when no trigger has fired.
+    /// Flushes a batch at time `now` if the replayed time-windowed
+    /// policy would: `max_batch` jobs are pending, or the oldest has
+    /// waited `max_delay`. Returns the oldest `max_batch` jobs in arrival
+    /// order, or `None` when neither holds. This models the window for
+    /// the benchmark's replay; the server flushes with
+    /// [`take_batch`](Self::take_batch) whenever its dispatcher is free.
     pub fn poll(&mut self, now: Duration) -> Option<Vec<T>> {
         let size_hit = self.queue.len() >= self.config.max_batch.max(1);
         let deadline_hit = self.next_deadline().is_some_and(|d| d <= now);
@@ -128,8 +141,9 @@ impl<T> BatchCollector<T> {
         Some(self.take_batch())
     }
 
-    /// Unconditionally flushes the oldest `max_batch` jobs (shutdown
-    /// drain); an empty vec when nothing is pending.
+    /// Unconditionally flushes the oldest `max_batch` jobs in arrival
+    /// order, as the server's dispatcher does whenever it is free; an
+    /// empty vec when nothing is pending.
     pub fn take_batch(&mut self) -> Vec<T> {
         let n = self.queue.len().min(self.config.max_batch.max(1));
         self.queue.drain(..n).map(|(job, _)| job).collect()

@@ -7,11 +7,11 @@
 //! test; a bare foreground server has nothing to drain into).
 //!
 //! ```text
-//! prime-serve [--addr 127.0.0.1:7741] [--max-batch 8] [--max-delay-us 1000]
-//!             [--queue-bound 256]
+//! prime-serve [--addr 127.0.0.1:7741] [--max-batch 8] [--queue-bound 256]
 //! ```
-
-use std::time::Duration;
+//!
+//! Each model's dispatcher runs whatever is queued, up to `--max-batch`
+//! jobs, as soon as it is free.
 
 use prime_device::NoiseModel;
 use prime_serve::workloads::standard_registry;
@@ -38,17 +38,16 @@ where
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let addr = arg_value(&argv, "--addr").unwrap_or_else(|| "127.0.0.1:7741".to_string());
+    let defaults = BatchConfig::default_online();
     let config = BatchConfig {
-        max_batch: parsed(&argv, "--max-batch", 8usize),
-        max_delay: Duration::from_micros(parsed(&argv, "--max-delay-us", 1000u64)),
-        queue_bound: parsed(&argv, "--queue-bound", 256usize),
+        max_batch: parsed(&argv, "--max-batch", defaults.max_batch),
+        queue_bound: parsed(&argv, "--queue-bound", defaults.queue_bound),
+        ..defaults
     };
 
     println!(
-        "deploying standard registry (batch window: {} reqs / {} us, queue bound {})...",
-        config.max_batch,
-        config.max_delay.as_micros(),
-        config.queue_bound
+        "deploying standard registry (batches of up to {} reqs, queue bound {})...",
+        config.max_batch, config.queue_bound
     );
     let registry = standard_registry(config, NoiseModel::default())
         .unwrap_or_else(|e| panic!("registry failed to deploy: {e}"));

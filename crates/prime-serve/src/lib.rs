@@ -12,9 +12,12 @@
 //!   frame length, then a tagged payload. Decoding is total: any
 //!   truncated, oversized, or garbage frame yields a typed
 //!   [`WireError`], never a panic.
-//! * [`batcher`] — the time/size-windowed [`BatchCollector`] with an
-//!   *injected clock* (`now: Duration` parameters), so window logic is
-//!   unit-testable without wall-clock sleeps.
+//! * [`batcher`] — the FIFO [`BatchCollector`] with bounded-queue
+//!   admission. The server's dispatchers are work-conserving: a free
+//!   dispatcher takes up to `max_batch` queued jobs at once. The
+//!   collector also models a time-windowed policy (`max_delay`,
+//!   `poll`) over an *injected clock* for the benchmark's batcher
+//!   replay; the server does not read that window.
 //! * [`server`] — [`Registry`] (deploy-at-registration; rejected models
 //!   surface P031 and are never advertised), [`Server`] (accept loop +
 //!   per-connection readers + per-model dispatchers, all scoped; each

@@ -8,9 +8,12 @@
 //! * one **reader** thread per connection, decoding frames and pushing
 //!   jobs into the owning model's [`BatchCollector`];
 //! * one **dispatcher** thread per model, owning that model's
-//!   [`PrimeSystem`], flushing the collector on the size/deadline
-//!   triggers and writing responses back through each job's captured
-//!   write half.
+//!   [`PrimeSystem`]. It is work-conserving: whenever it is free and
+//!   jobs are queued, it takes the oldest `max_batch` of them
+//!   ([`BatchCollector::take_batch`]) and runs them at once, writing
+//!   responses back through each job's captured write half. Jobs that
+//!   arrive while a batch runs flush together on its next turn, so
+//!   batches form under load and no request waits on an idle device.
 //!
 //! A system is reachable only from the dispatcher that owns it, so
 //! exclusive access is enforced by ownership and no lock guards it.
@@ -29,7 +32,7 @@
 //! is still queued before exiting, so every admitted request is
 //! answered.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -53,6 +56,11 @@ use crate::wire::{
 const READ_POLL: Duration = Duration::from_millis(25);
 /// How long an idle dispatcher waits before re-checking the flag.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
+/// The accept loop's pause after a transient failure; each further
+/// failure in a row doubles it, up to [`ACCEPT_BACKOFF_MAX`].
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+/// The longest pause between accept attempts.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 
 /// The server's mutexes guard plain data (a job queue, a write half)
 /// that stays consistent even if a holder panicked, so absorbing poison
@@ -262,10 +270,16 @@ impl Server {
     /// all queued work, joins every thread, and returns the final
     /// counters.
     ///
+    /// A transient `accept` failure (a connection aborted before it was
+    /// taken, or descriptors or memory briefly exhausted) does not stop
+    /// the server: the accept loop pauses for a short, capped backoff and
+    /// accepts again.
+    ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] only for accept-loop failures; per-connection
-    /// and per-request errors are answered on the wire instead.
+    /// [`ServeError::Io`] only for a fatal accept-loop failure;
+    /// per-connection and per-request errors are answered on the wire
+    /// instead.
     pub fn run(self) -> Result<ServeStats, ServeError> {
         let Server { listener, registry, flag } = self;
         let (models, systems): (Vec<ModelRuntime>, Vec<PrimeSystem>) =
@@ -276,16 +290,23 @@ impl Server {
         let connections = AtomicU64::new(0);
         let accept_error = std::thread::scope(|scope| {
             for (model, system) in models.iter().zip(systems) {
-                scope.spawn(move || dispatcher(model, system, flag, epoch));
+                scope.spawn(move || dispatcher(model, system, flag));
             }
             let mut accept_error = None;
+            let mut backoff = ACCEPT_BACKOFF_MIN;
             loop {
                 let stream = match listener.accept() {
-                    Ok((stream, _)) => stream,
+                    Ok((stream, _)) => {
+                        backoff = ACCEPT_BACKOFF_MIN;
+                        stream
+                    }
+                    Err(_) if flag.load(Ordering::SeqCst) => break,
+                    Err(e) if accept_error_is_transient(&e) => {
+                        std::thread::sleep(backoff);
+                        backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                        continue;
+                    }
                     Err(e) => {
-                        if flag.load(Ordering::SeqCst) {
-                            break;
-                        }
                         accept_error = Some(ServeError::Io {
                             context: "accept",
                             detail: e.to_string(),
@@ -326,6 +347,24 @@ impl Server {
                 .collect(),
         })
     }
+}
+
+/// Whether an `accept` failure is transient, so the accept loop should
+/// back off and retry rather than stop the server: a per-connection
+/// failure (the peer aborted or reset, the call was interrupted, would
+/// block or timed out), or descriptor or memory exhaustion (`ENFILE` 23
+/// and `EMFILE` 24, the same numbers on Linux and macOS), which frees as
+/// connections close.
+fn accept_error_is_transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::Interrupted
+            | io::ErrorKind::WouldBlock
+            | io::ErrorKind::TimedOut
+            | io::ErrorKind::OutOfMemory
+    ) || matches!(e.raw_os_error(), Some(23 | 24))
 }
 
 /// One admitted request: what to compute and where to send the answer.
@@ -370,38 +409,29 @@ impl Reply {
     }
 }
 
-/// Per-model dispatch loop: flush on size/deadline, drain on shutdown.
-/// The loop owns the model's system for the server's lifetime.
-fn dispatcher(model: &ModelRuntime, mut system: PrimeSystem, flag: &AtomicBool, epoch: Instant) {
+/// Per-model dispatch loop, work-conserving: whenever it is free and
+/// jobs are queued, it takes the oldest `max_batch` of them and runs
+/// them at once, so jobs that arrived during the previous batch flush
+/// together. It sleeps only on an empty queue, and on shutdown it
+/// drains the queue before returning. The loop owns the model's system
+/// for the server's lifetime.
+fn dispatcher(model: &ModelRuntime, mut system: PrimeSystem, flag: &AtomicBool) {
     let mut guard = lock(&model.queue);
     loop {
-        if let Some(jobs) = guard.poll(epoch.elapsed()) {
-            drop(guard);
-            execute_batch(model, &mut system, jobs);
-            guard = lock(&model.queue);
-            continue;
-        }
-        if flag.load(Ordering::SeqCst) {
-            if guard.is_empty() {
-                return;
-            }
+        if !guard.is_empty() {
             let jobs = guard.take_batch();
             drop(guard);
             execute_batch(model, &mut system, jobs);
             guard = lock(&model.queue);
-            continue;
+        } else if flag.load(Ordering::SeqCst) {
+            return;
+        } else {
+            guard = model
+                .wake
+                .wait_timeout(guard, IDLE_WAIT)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        let now = epoch.elapsed();
-        let wait = guard
-            .next_deadline()
-            .map(|d| d.saturating_sub(now).max(Duration::from_micros(50)))
-            .unwrap_or(IDLE_WAIT)
-            .min(IDLE_WAIT);
-        let (g, _) = model
-            .wake
-            .wait_timeout(guard, wait)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard = g;
     }
 }
 
@@ -571,6 +601,49 @@ fn admit(request: Request, models: &[ModelRuntime], reply: &Reply, epoch: Instan
                 queue_depth: u32::try_from(queue_depth).unwrap_or(u32::MAX),
                 queue_bound: u32::try_from(queue_bound).unwrap_or(u32::MAX),
             });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn per_connection_and_exhaustion_accept_errors_are_transient() {
+        for kind in [
+            io::ErrorKind::ConnectionAborted,
+            io::ErrorKind::ConnectionReset,
+            io::ErrorKind::Interrupted,
+            io::ErrorKind::WouldBlock,
+            io::ErrorKind::TimedOut,
+            io::ErrorKind::OutOfMemory,
+        ] {
+            assert!(accept_error_is_transient(&io::Error::from(kind)), "{kind:?}");
+        }
+        for (errno, name) in [(23, "ENFILE"), (24, "EMFILE")] {
+            assert!(
+                accept_error_is_transient(&io::Error::from_raw_os_error(errno)),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn other_accept_errors_are_fatal() {
+        for kind in [
+            io::ErrorKind::PermissionDenied,
+            io::ErrorKind::InvalidInput,
+            io::ErrorKind::AddrInUse,
+            io::ErrorKind::NotConnected,
+            io::ErrorKind::Unsupported,
+            io::ErrorKind::Other,
+        ] {
+            assert!(!accept_error_is_transient(&io::Error::from(kind)), "{kind:?}");
+        }
+        // EBADF and EINVAL: a listener that is closed or not listening.
+        for errno in [9, 22] {
+            assert!(!accept_error_is_transient(&io::Error::from_raw_os_error(errno)), "{errno}");
         }
     }
 }

@@ -32,7 +32,7 @@ enum Op {
     /// then poll: the inclusive edge of the deadline trigger.
     PollAtDeadline,
     /// Advance the clock by the given microseconds, then flush
-    /// unconditionally (the shutdown drain).
+    /// unconditionally (the server dispatcher's flush).
     TakeBatch(u64),
 }
 

@@ -139,7 +139,7 @@ pub fn static_shift(out_max: i128, scheme: &ComposingScheme) -> u8 {
 /// as an unbounded interval so the register-fit proof fails loudly
 /// rather than silently.
 pub(crate) fn merged_interval(layer: &ProgramLayer, act: Interval, w_max: i128) -> Interval {
-    match (layer.weight_shape(), layer.op) {
+    match (layer.weight_shape, layer.op) {
         (Some((rows, _)), _) => {
             let input_max = i64::try_from(act.abs_max()).unwrap_or(i64::MAX);
             let weight_max = i64::try_from(w_max).unwrap_or(i64::MAX);

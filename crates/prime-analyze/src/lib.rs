@@ -65,8 +65,8 @@ pub use intervals::{
 };
 pub use lint::{lint_root, lint_source, AllowEntry, Allowlist};
 pub use program::{
-    analyze_program, lower_layout, lower_program, tile_spans, ProgramLayer, ProgramOp,
-    ProgramPlan, ProgramStage, ProgramTile,
+    analyze_program, lower_layout, lower_program, ProgramLayer, ProgramOp, ProgramPlan,
+    ProgramStage, ProgramTile,
 };
 pub use verify::{
     analyze, check_pipeline, check_shared_layout, conv_staging, shared_layout, ConvStaging,

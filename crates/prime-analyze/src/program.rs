@@ -34,7 +34,7 @@
 //! workload.
 
 use prime_circuits::{mean_pool_weights, ComposingScheme};
-use prime_compiler::{pipeline_credits, NetworkMapping, PipelineStage};
+use prime_compiler::{pipeline_credits, tile_spans, weight_matrix, NetworkMapping, PipelineStage};
 use prime_nn::{LayerSpec, NetworkSpec, PoolKind};
 
 use crate::diag::{sort_diagnostics, Code, Diagnostic, Span};
@@ -153,24 +153,12 @@ pub struct ProgramLayer {
     pub relu: bool,
     /// Largest bias magnitude, in merged full-precision units.
     pub bias_peak: i64,
+    /// The `(rows, features)` weight matrix the layer programs onto its
+    /// tiles ([`weight_matrix`]), or `None` for pooling, which uses no
+    /// mats.
+    pub weight_shape: Option<(usize, usize)>,
     /// Post-deploy state of the layer's placed tiles.
     pub tiles: Vec<ProgramTile>,
-}
-
-impl ProgramLayer {
-    /// The `(rows, features)` weight matrix the layer programs onto its
-    /// tiles (the input vector by the outputs for FC, one im2col window
-    /// by the output maps for conv), or `None` for pooling, which uses
-    /// no mats. No bias row: the runner adds bias in the merge register.
-    pub fn weight_shape(&self) -> Option<(usize, usize)> {
-        match self.op {
-            ProgramOp::Fc => Some((self.inputs, self.outputs)),
-            ProgramOp::Conv { in_ch, out_ch, kernel, .. } => {
-                Some((in_ch * kernel * kernel, out_ch))
-            }
-            ProgramOp::Pool { .. } => None,
-        }
-    }
 }
 
 /// One pipeline stage of the plan: a contiguous layer span on one bank.
@@ -203,13 +191,13 @@ pub struct ProgramPlan {
 /// the stage spans of `pipeline` (one stage on bank 0 when it is empty)
 /// and gives every layer its op, widths, buffer addresses (the cursor
 /// restarts at every stage, which owns its bank's Buffer subarray) and
-/// one tile per [`tile_spans`] entry on `mat`-sized mats. Conv staging
-/// follows [`conv_staging`] for `buffer_words`. `CommandRunner` compiles
-/// exactly this plan and calibrates its shifts, ReLU flags and bias
-/// peaks; [`lower_program`] bounds them statically instead. The stage
-/// list is taken as given: [`check_pipeline`](crate::check_pipeline)
-/// gates it at runtime, [`analyze_program`]'s stage-graph check
-/// statically.
+/// one tile per [`tile_spans`] entry of its [`weight_matrix`] on
+/// `mat`-sized mats. Conv staging follows [`conv_staging`] for
+/// `buffer_words`. `CommandRunner` compiles exactly this plan and
+/// calibrates its shifts, ReLU flags and bias peaks; [`lower_program`]
+/// bounds them statically instead. The stage list is taken as given:
+/// [`check_pipeline`](crate::check_pipeline) gates it at runtime,
+/// [`analyze_program`]'s stage-graph check statically.
 ///
 /// # Errors
 ///
@@ -285,7 +273,9 @@ pub fn lower_layout(
                 }
             };
             let inputs = layer_spec.inputs();
-            let mut layer = ProgramLayer {
+            let weight_shape = weight_matrix(layer_spec);
+            let tiles = weight_shape.map_or(0, |shape| tile_spans(shape, mat).count());
+            let layer = ProgramLayer {
                 op,
                 inputs,
                 outputs: layer_spec.outputs(),
@@ -294,32 +284,15 @@ pub fn lower_layout(
                 requant_shift: 0,
                 relu: false,
                 bias_peak: 0,
-                tiles: Vec::new(),
+                weight_shape,
+                tiles: vec![ProgramTile { aliased: false, write_armed: false }; tiles],
             };
-            let tiles = layer.weight_shape().map_or(0, |shape| tile_spans(shape, mat).count());
-            layer.tiles = vec![ProgramTile { aliased: false, write_armed: false }; tiles];
             buf_cursor = layer.out_addr;
             layers.push(layer);
         }
     }
     let recycle_credits = pipeline_credits(stages.len());
     Ok(ProgramPlan { layers, stages, buffer_words, recycle_credits })
-}
-
-/// The mat tiles a `(rows, features)` weight matrix occupies on
-/// `(mat_rows, mat_cols)` mats, as `(row span, column span)` pairs of
-/// `[start, end)` ranges, row tiles outer: the order the runner
-/// allocates mats in.
-pub fn tile_spans(
-    (rows, features): (usize, usize),
-    (mat_rows, mat_cols): (usize, usize),
-) -> impl Iterator<Item = ((usize, usize), (usize, usize))> {
-    let (mat_rows, mat_cols) = (mat_rows.max(1), mat_cols.max(1));
-    (0..rows).step_by(mat_rows).flat_map(move |r0| {
-        (0..features).step_by(mat_cols).map(move |c0| {
-            ((r0, (r0 + mat_rows).min(rows)), (c0, (c0 + mat_cols).min(features)))
-        })
-    })
 }
 
 /// Statically lowers `(spec, mapping)` into the [`ProgramPlan`] the
@@ -329,8 +302,8 @@ pub fn tile_spans(
 /// magnitudes are modeled at the dot-span bound (§III-D assumes bias
 /// never dominates the dot product), and no layer is taken to apply
 /// ReLU (activations are unknown at spec level; the wider interval is
-/// the sound one). Tile counts are the runner's: the mapping's mat
-/// budget, which adds a bias row, can exceed them.
+/// the sound one). Tile counts are the runner's and the mapping's alike,
+/// since both cut [`weight_matrix`] with [`tile_spans`].
 ///
 /// # Errors
 ///

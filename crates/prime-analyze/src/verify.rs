@@ -11,7 +11,7 @@
 //! refuses to deploy when any diagnostic is `Error`-severity.
 
 use prime_circuits::ComposingScheme;
-use prime_compiler::{HwTarget, NetworkMapping, NnScale, PipelineStage};
+use prime_compiler::{lower_layer, HwTarget, LayerMapping, NetworkMapping, NnScale, PipelineStage};
 use prime_mem::MemGeometry;
 use prime_nn::{LayerSpec, NetworkSpec};
 
@@ -165,18 +165,6 @@ fn ceil_log2(n: usize) -> u32 {
 
 fn layer_span(index: usize, layer: &LayerSpec) -> Span {
     Span::Layer { index, entity: layer.describe() }
-}
-
-/// Expected lowering of one layer on `hw`, mirroring the compiler's rules
-/// (FC: `inputs + 1` bias row; conv: `in_ch * k * k + 1` rows, one column
-/// per output map; pooling/LRN: no mats).
-fn expected_tiling(spec: &LayerSpec, hw: &HwTarget) -> (usize, usize, usize, usize) {
-    let (rows, cols) = match *spec {
-        LayerSpec::FullyConnected { inputs, outputs } => (inputs + 1, outputs),
-        LayerSpec::Conv { in_ch, out_ch, kernel, .. } => (in_ch * kernel * kernel + 1, out_ch),
-        LayerSpec::Pool { .. } | LayerSpec::Lrn { .. } => return (0, 0, 0, 0),
-    };
-    (rows, cols, rows.div_ceil(hw.mat_rows), cols.div_ceil(hw.mat_cols))
 }
 
 /// Checks pipeline-stage legality shared by the verifier and the runtime:
@@ -438,31 +426,34 @@ pub fn analyze(spec: &NetworkSpec, target: &Target, mapping: &NetworkMapping) ->
             ));
             continue;
         }
-        let (rows, cols, row_tiles, col_tiles) = expected_tiling(ls, hw);
-        let base_mats = row_tiles * col_tiles;
-        if lm.rows_needed != rows
-            || lm.cols_needed != cols
-            || lm.row_tiles != row_tiles
-            || lm.col_tiles != col_tiles
-            || lm.base_mats != base_mats
-        {
-            diags.push(Diagnostic::new(
-                Code::P002,
-                span.clone(),
-                format!(
-                    "layer needs {rows}x{cols} cells = {row_tiles}x{col_tiles} tiles \
-                     ({base_mats} mats) on {}x{} mats, but the mapping records \
-                     {}x{} cells = {}x{} tiles ({} mats)",
-                    hw.mat_rows,
-                    hw.mat_cols,
-                    lm.rows_needed,
-                    lm.cols_needed,
-                    lm.row_tiles,
-                    lm.col_tiles,
-                    lm.base_mats
-                ),
-            ));
-        }
+        // The mapping must tile the layer as the compiler's own lowering
+        // of the spec layer does. The text carries all five counts.
+        let tiling = |m: &LayerMapping| {
+            format!(
+                "{}x{} cells = {}x{} tiles ({} mats)",
+                m.rows_needed, m.cols_needed, m.row_tiles, m.col_tiles, m.base_mats
+            )
+        };
+        let rows = match lower_layer(ls, hw) {
+            Ok(want) => {
+                let (need, got) = (tiling(&want), tiling(lm));
+                if need != got {
+                    diags.push(Diagnostic::new(
+                        Code::P002,
+                        span.clone(),
+                        format!(
+                            "layer needs {need} on {}x{} mats, but the mapping records {got}",
+                            hw.mat_rows, hw.mat_cols
+                        ),
+                    ));
+                }
+                want.rows_needed
+            }
+            Err(e) => {
+                diags.push(Diagnostic::new(Code::P002, span.clone(), e.to_string()));
+                0
+            }
+        };
         if lm.in_mat_replication == 0 {
             diags.push(Diagnostic::new(
                 Code::P002,

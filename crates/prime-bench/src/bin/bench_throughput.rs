@@ -661,7 +661,7 @@ fn main() {
         .map(|i| argv.get(i + 1).expect("--baseline takes a path").clone());
     // MLP-M-class: the paper's 784-1000-500-250-10 MLP-M as a pure
     // ReLU/identity FC stack. CNN-1-class: CNN-1's fully-connected
-    // classifier head (720-70-10). VGG-D-class: a deep FC stack whose 23
+    // classifier head (720-70-10). VGG-D-class: a deep FC stack whose 22
     // compiler mats overflow an 8-mat bank, so it deploys as a 4-stage
     // inter-bank pipeline — the paper's §IV-B large-scale case.
     let flat_geometry = (2, 32);
@@ -718,39 +718,14 @@ fn main() {
     };
     let (batch_per_bank, reps) = if smoke { (2, 1) } else { (6, 3) };
 
-    let mut rows = Vec::new();
-    println!(
-        "{:<12} {:>5} {:>6} {:>6} {:>14} {:>14} {:>8}",
-        "workload", "banks", "stages", "batch", "serial ns/inf", "parallel ns/inf", "speedup"
-    );
-    for (config, bank_counts) in &configs {
-        // One fixed batch size per workload (divisible by every bank
-        // count) so ns/inference is comparable across rows.
-        let batch = batch_per_bank * bank_counts.last().copied().unwrap_or(1);
-        // Serial baseline: timed on the first row, reused afterwards.
-        let mut serial_s: Option<f64> = None;
-        for &banks in bank_counts {
-            let (row, serial_used) = measure(config, banks, batch, reps, serial_s);
-            serial_s = Some(serial_used);
-            println!(
-                "{:<12} {:>5} {:>6} {:>6} {:>14.0} {:>14.0} {:>7.2}x",
-                row.workload,
-                row.banks,
-                row.stages,
-                row.batch,
-                row.serial_ns_per_inference,
-                row.parallel_ns_per_inference,
-                row.speedup
-            );
-            rows.push(row);
-        }
-    }
-
     // Per-layer breakdown of the real conv/pool CNN-1 on the device
-    // runner (the engine rows above use its FC classifier head only).
+    // runner (the engine rows below use its FC classifier head only).
+    // Timed before the multi-threaded engine rows, so their threads
+    // cannot perturb it; on a shared 2-vCPU host it still varies between
+    // runs.
     let device_runner = measure_device_runner(batch_per_bank, DEVICE_RUNNER_REPS);
     println!(
-        "\n{} on the device runner ({}), batch {}:",
+        "{} on the device runner ({}), batch {}:",
         device_runner.workload, device_runner.topology, device_runner.batch
     );
     println!("{:<28} {:>14} {:>7}", "layer", "ns/inf", "share");
@@ -776,6 +751,34 @@ fn main() {
             phase.ns_per_inference,
             phase.share * 100.0
         );
+    }
+
+    let mut rows = Vec::new();
+    println!(
+        "\n{:<12} {:>5} {:>6} {:>6} {:>14} {:>14} {:>8}",
+        "workload", "banks", "stages", "batch", "serial ns/inf", "parallel ns/inf", "speedup"
+    );
+    for (config, bank_counts) in &configs {
+        // One fixed batch size per workload (divisible by every bank
+        // count) so ns/inference is comparable across rows.
+        let batch = batch_per_bank * bank_counts.last().copied().unwrap_or(1);
+        // Serial baseline: timed on the first row, reused afterwards.
+        let mut serial_s: Option<f64> = None;
+        for &banks in bank_counts {
+            let (row, serial_used) = measure(config, banks, batch, reps, serial_s);
+            serial_s = Some(serial_used);
+            println!(
+                "{:<12} {:>5} {:>6} {:>6} {:>14.0} {:>14.0} {:>7.2}x",
+                row.workload,
+                row.banks,
+                row.stages,
+                row.batch,
+                row.serial_ns_per_inference,
+                row.parallel_ns_per_inference,
+                row.speedup
+            );
+            rows.push(row);
+        }
     }
 
     // The paper's VGG-D at full weight scale on the device runner.

@@ -29,8 +29,9 @@ mod target;
 
 pub use error::CompileError;
 pub use mapping::{
-    enumerate_candidates, map_network, pipeline_credits, CompileOptions, LayerMapping,
-    LayoutFootprint, NetworkMapping, NnScale, Objective, PipelineStage,
+    enumerate_candidates, lower_layer, map_network, pipeline_credits, tile_spans, weight_matrix,
+    CompileOptions, LayerMapping, LayoutFootprint, NetworkMapping, NnScale, Objective,
+    PipelineStage,
 };
 pub use placement::ImagePlacement;
 pub use target::HwTarget;

@@ -12,8 +12,11 @@
 //!
 //! Convolution layers are lowered the way §III-E describes: all elements
 //! of the kernels `g_{i,j}` for one output map are pre-programmed down a
-//! bitline (`in_ch * k * k` rows plus one bias row, one column per output
-//! map), and the layer is evaluated once per output pixel.
+//! bitline (`in_ch * k * k` rows, one column per output map), and the
+//! layer is evaluated once per output pixel. No layer programs a bias
+//! row: the runner adds each bias in the precision-control merge
+//! register. [`weight_matrix`] and [`tile_spans`] are the one tiling the
+//! mapping, Pass 1 and the runner's placement all read.
 
 use serde::{Deserialize, Serialize};
 
@@ -82,8 +85,8 @@ impl Default for CompileOptions {
 pub struct LayerMapping {
     /// The layer's shape.
     pub layer: LayerSpec,
-    /// Crossbar rows the layer occupies (inputs + 1 bias row; 0 for
-    /// pooling layers, which use the pooling hardware instead of mats).
+    /// Crossbar rows the layer occupies (its [`weight_matrix`] rows; 0
+    /// for pooling layers, which use the pooling hardware instead of mats).
     pub rows_needed: usize,
     /// Composed weight columns the layer occupies.
     pub cols_needed: usize,
@@ -238,39 +241,62 @@ impl NetworkMapping {
 
 }
 
-fn lower_layer(spec: &LayerSpec, hw: &HwTarget) -> Result<LayerMapping, CompileError> {
-    let (rows_needed, cols_needed, vectors) = match *spec {
-        LayerSpec::FullyConnected { inputs, outputs } => (inputs + 1, outputs, 1),
-        LayerSpec::Conv { in_ch, out_ch, kernel, in_h, in_w, padding } => {
-            let oh = in_h + 2 * padding - kernel + 1;
-            let ow = in_w + 2 * padding - kernel + 1;
-            (in_ch * kernel * kernel + 1, out_ch, oh * ow)
-        }
-        LayerSpec::Pool { .. } | LayerSpec::Lrn { .. } => {
-            // Pooling runs on the dedicated pooling hardware and LRN falls
-            // back to the CPU (paper §III-E); neither occupies weight mats.
-            return Ok(LayerMapping {
-                layer: *spec,
-                rows_needed: 0,
-                cols_needed: 0,
-                row_tiles: 0,
-                col_tiles: 0,
-                base_mats: 0,
-                in_mat_replication: 1,
-                extra_replicas: 0,
-                vectors_per_inference: spec.outputs(),
-                merge_adds: 0,
-                tile_refs: 1,
-            });
-        }
+/// The `(rows, features)` weight matrix a layer programs onto FF mats:
+/// `inputs × outputs` for FC, one im2col window by the output maps
+/// (`in_ch·k² × out_ch`) for conv, and `None` for pooling and LRN, which
+/// use no weight mats. There is no bias row.
+pub fn weight_matrix(layer: &LayerSpec) -> Option<(usize, usize)> {
+    match *layer {
+        LayerSpec::FullyConnected { inputs, outputs } => Some((inputs, outputs)),
+        LayerSpec::Conv { in_ch, out_ch, kernel, .. } => Some((in_ch * kernel * kernel, out_ch)),
+        LayerSpec::Pool { .. } | LayerSpec::Lrn { .. } => None,
+    }
+}
+
+/// One axis of the mat cut: the `[start, end)` spans `len` cells fill
+/// on `edge`-cell mats, the last span holding the remainder.
+fn cut(len: usize, edge: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+    let edge = edge.max(1);
+    (0..len).step_by(edge).map(move |start| (start, (start + edge).min(len)))
+}
+
+/// The mat tiles a `(rows, features)` weight matrix occupies on
+/// `(mat_rows, mat_cols)` mats, as `(row span, column span)` pairs of
+/// `[start, end)` ranges, row tiles outer: the order the runner
+/// allocates mats in.
+pub fn tile_spans(
+    (rows, features): (usize, usize),
+    (mat_rows, mat_cols): (usize, usize),
+) -> impl Iterator<Item = ((usize, usize), (usize, usize))> {
+    let cols = cut(features, mat_cols);
+    cut(rows, mat_rows).flat_map(move |r| cols.clone().map(move |c| (r, c)))
+}
+
+/// Lowers one layer onto `hw`'s mats without replication: its
+/// [`weight_matrix`] cut as [`tile_spans`] cuts it, its input vectors per
+/// inference, and the adds merging its row tiles' partial sums. Pass 1
+/// checks every mapped layer against this.
+///
+/// # Errors
+///
+/// Returns [`CompileError::LayerTooLarge`] if the tile count overflows.
+pub fn lower_layer(spec: &LayerSpec, hw: &HwTarget) -> Result<LayerMapping, CompileError> {
+    // Pooling runs on the dedicated pooling hardware and LRN falls back
+    // to the CPU (paper §III-E): no weight matrix, so no mats.
+    let (rows_needed, cols_needed) = weight_matrix(spec).unwrap_or((0, 0));
+    let vectors = match *spec {
+        LayerSpec::FullyConnected { .. } => 1,
+        LayerSpec::Conv { .. } => spec.conv_out_dims().map_or(0, |(out_h, out_w)| out_h * out_w),
+        LayerSpec::Pool { .. } | LayerSpec::Lrn { .. } => spec.outputs(),
     };
-    let row_tiles = rows_needed.div_ceil(hw.mat_rows);
-    let col_tiles = cols_needed.div_ceil(hw.mat_cols);
+    let row_tiles = cut(rows_needed, hw.mat_rows).count();
+    let col_tiles = cut(cols_needed, hw.mat_cols).count();
     let base_mats = row_tiles
         .checked_mul(col_tiles)
         .ok_or(CompileError::LayerTooLarge { layer: spec.describe() })?;
     // Split-merge cost: merging R row tiles takes R-1 adds per output.
-    let merge_adds = (row_tiles as u64 - 1) * cols_needed as u64 * vectors as u64;
+    let merge_adds =
+        (row_tiles as u64).saturating_sub(1) * cols_needed as u64 * vectors as u64;
     Ok(LayerMapping {
         layer: *spec,
         rows_needed,
@@ -316,8 +342,9 @@ fn apply_mat_replication(layers: &mut [LayerMapping], mut spare: usize) {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::CapacityExceeded`] if the network does not fit
-/// the memory's FF mats even without replication.
+/// Returns [`CompileError::InvalidTarget`] for a degenerate `hw`, and
+/// [`CompileError::CapacityExceeded`] if the network does not fit the
+/// memory's FF mats even without replication.
 ///
 /// # Examples
 ///
@@ -336,6 +363,7 @@ pub fn map_network(
     hw: &HwTarget,
     options: CompileOptions,
 ) -> Result<NetworkMapping, CompileError> {
+    hw.validate()?;
     let mut layers = spec
         .layers()
         .iter()
@@ -528,7 +556,7 @@ mod tests {
 
     #[test]
     fn split_merge_arithmetic_mlp_s() {
-        // 784-500: rows 785 -> 4 row tiles; cols 500 -> 4 col tiles.
+        // 784-500: rows 784 -> 4 row tiles; cols 500 -> 4 col tiles.
         let m = map_network(&MlBench::MlpS.spec(), &hw(), CompileOptions::default()).unwrap();
         let l0 = &m.layers[0];
         assert_eq!(l0.row_tiles, 4);
@@ -541,13 +569,40 @@ mod tests {
     fn conv_is_lowered_to_kernel_matrix() {
         let m = map_network(&MlBench::Cnn1.spec(), &hw(), CompileOptions::default()).unwrap();
         let conv = &m.layers[0];
-        // 1 channel x 5x5 kernel + bias = 26 rows, 5 output maps.
-        assert_eq!(conv.rows_needed, 26);
+        // 1 channel x 5x5 kernel = 25 rows (no bias row), 5 output maps.
+        assert_eq!(conv.rows_needed, 25);
         assert_eq!(conv.cols_needed, 5);
         assert_eq!(conv.base_mats, 1);
         assert_eq!(conv.vectors_per_inference, 24 * 24);
-        // Small layer in one mat: heavy in-mat replication.
-        assert!(conv.in_mat_replication >= 9, "got {}", conv.in_mat_replication);
+        // Small layer in one mat: 256 / 25 = 10 diagonal copies.
+        assert_eq!(conv.in_mat_replication, 10);
+    }
+
+    #[test]
+    fn tile_spans_cut_the_weight_matrix_into_mats() {
+        // 300 x 130 on 256 x 128 mats: 2 x 2 tiles, remainders last.
+        let spans: Vec<_> = tile_spans((300, 130), (256, 128)).collect();
+        assert_eq!(
+            spans,
+            vec![
+                ((0, 256), (0, 128)),
+                ((0, 256), (128, 130)),
+                ((256, 300), (0, 128)),
+                ((256, 300), (128, 130)),
+            ]
+        );
+        // Rows that exactly fill a mat take one row tile.
+        let full = LayerSpec::FullyConnected { inputs: 256, outputs: 128 };
+        let l = lower_layer(&full, &hw()).unwrap();
+        assert_eq!((l.rows_needed, l.row_tiles, l.col_tiles, l.base_mats), (256, 1, 1, 1));
+        assert_eq!(l.base_mats, tile_spans(weight_matrix(&full).unwrap(), (256, 128)).count());
+    }
+
+    #[test]
+    fn zero_mat_dimension_is_an_invalid_target() {
+        let target = HwTarget { mat_rows: 0, ..hw() };
+        let err = map_network(&MlBench::MlpS.spec(), &target, CompileOptions::default());
+        assert!(matches!(err, Err(CompileError::InvalidTarget { .. })), "{err:?}");
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl HwTarget {
         })
     }
 
-    fn validate(&self) -> Result<(), CompileError> {
+    pub(crate) fn validate(&self) -> Result<(), CompileError> {
         if self.mat_rows == 0 || self.mat_cols == 0 {
             return Err(CompileError::InvalidTarget { reason: "mat dimensions must be non-zero" });
         }

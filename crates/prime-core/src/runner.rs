@@ -65,7 +65,7 @@
 
 use prime_analyze::{ProgramLayer, ProgramOp, ProgramPlan, ProgramTile};
 use prime_circuits::{ComposingScheme, MaxPoolUnit, PrecisionController, SigmoidUnit};
-use prime_compiler::PipelineStage;
+use prime_compiler::{tile_spans, PipelineStage};
 use prime_mem::{BufAddr, Command, FfAddr, MatAddr, MatFunction};
 use prime_nn::{Activation, Layer, Network};
 
@@ -390,7 +390,7 @@ impl CommandRunner {
                     activation: PlannedActivation::Identity,
                 };
                 // A weight layer's real value of one merged unit.
-                let unit = match (weights, lowered.weight_shape()) {
+                let unit = match (weights, lowered.weight_shape) {
                     (Some((w, bias, _)), Some(shape @ (rows, _))) => {
                         // Quantize weights to composed 8-bit codes; the
                         // crossbar wants `[rows][features]`.
@@ -402,7 +402,7 @@ impl CommandRunner {
                         plan.tiles = Self::program_tiles(
                             controller,
                             &mut next_mat,
-                            prime_analyze::tile_spans(shape, mat),
+                            tile_spans(shape, mat),
                             &weight_code,
                             (&lowered.op, &codes),
                         )?;

@@ -28,6 +28,14 @@ pub enum NnError {
     },
     /// The network has no layers or is otherwise malformed.
     EmptyNetwork,
+    /// A layer's shape computes nothing: a conv kernel that is zero or
+    /// wider than its padded input, or a zero pooling window.
+    DegenerateLayer {
+        /// The offending layer's description.
+        layer: String,
+        /// Human-readable reason.
+        reason: &'static str,
+    },
     /// Training was asked to run on a network containing a layer without
     /// gradient support.
     Untrainable {
@@ -47,6 +55,9 @@ impl fmt::Display for NnError {
             }
             NnError::BadFormat { reason } => write!(f, "bad quantization format: {reason}"),
             NnError::EmptyNetwork => write!(f, "network has no layers"),
+            NnError::DegenerateLayer { layer, reason } => {
+                write!(f, "layer {layer} is degenerate: {reason}")
+            }
             NnError::Untrainable { layer } => {
                 write!(f, "layer {layer} does not support training")
             }

@@ -85,24 +85,42 @@ impl LayerSpec {
     pub fn outputs(&self) -> usize {
         match *self {
             LayerSpec::FullyConnected { outputs, .. } => outputs,
-            LayerSpec::Conv { out_ch, kernel, in_h, in_w, padding, .. } => {
-                out_ch * (in_h + 2 * padding - kernel + 1) * (in_w + 2 * padding - kernel + 1)
+            LayerSpec::Conv { out_ch, .. } => {
+                self.conv_out_dims().map_or(0, |(out_h, out_w)| out_ch * out_h * out_w)
             }
-            LayerSpec::Pool { channels, in_h, in_w, window, .. } => {
-                channels * (in_h / window) * (in_w / window)
-            }
+            LayerSpec::Pool { channels, in_h, in_w, window, .. } => match window {
+                0 => 0,
+                w => channels * (in_h / w) * (in_w / w),
+            },
             LayerSpec::Lrn { channels, in_h, in_w, .. } => channels * in_h * in_w,
         }
     }
 
-    /// For conv layers, the output feature-map dimensions.
+    /// For conv layers, the output feature-map dimensions (zero along an
+    /// edge the kernel overhangs).
     pub fn conv_out_dims(&self) -> Option<(usize, usize)> {
         match *self {
-            LayerSpec::Conv { kernel, in_h, in_w, padding, .. } => {
-                Some((in_h + 2 * padding - kernel + 1, in_w + 2 * padding - kernel + 1))
-            }
+            LayerSpec::Conv { kernel, in_h, in_w, padding, .. } => Some((
+                (in_h + 2 * padding + 1).saturating_sub(kernel),
+                (in_w + 2 * padding + 1).saturating_sub(kernel),
+            )),
             _ => None,
         }
+    }
+
+    /// Refuses a shape that computes nothing: a conv kernel that is zero
+    /// or wider than its padded input, or a zero pooling window.
+    fn check(&self) -> Result<(), NnError> {
+        let reason = match *self {
+            LayerSpec::Conv { kernel, in_h, in_w, padding, .. }
+                if kernel == 0 || kernel > in_h.min(in_w) + 2 * padding =>
+            {
+                "conv kernel must be nonzero and fit its padded input"
+            }
+            LayerSpec::Pool { window: 0, .. } => "pooling window must be nonzero",
+            _ => return Ok(()),
+        };
+        Err(NnError::DegenerateLayer { layer: self.describe(), reason })
     }
 
     /// Synaptic weight count (pooling has none; biases excluded, as in the
@@ -166,10 +184,14 @@ impl NetworkSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::EmptyNetwork`] or [`NnError::ShapeMismatch`].
+    /// Returns [`NnError::EmptyNetwork`], [`NnError::DegenerateLayer`] or
+    /// [`NnError::ShapeMismatch`].
     pub fn new(name: impl Into<String>, layers: Vec<LayerSpec>) -> Result<Self, NnError> {
         if layers.is_empty() {
             return Err(NnError::EmptyNetwork);
+        }
+        for layer in &layers {
+            layer.check()?;
         }
         for pair in layers.windows(2) {
             if pair[0].outputs() != pair[1].inputs() {
@@ -575,5 +597,31 @@ mod tests {
             ],
         );
         assert!(bad.is_err());
+    }
+
+    #[test]
+    fn spec_refuses_a_kernel_wider_than_its_padded_input() {
+        let conv = |kernel, padding| LayerSpec::Conv {
+            in_ch: 1,
+            out_ch: 2,
+            kernel,
+            in_h: 3,
+            in_w: 3,
+            padding,
+        };
+        for (kernel, padding) in [(5, 0), (0, 0)] {
+            let err = NetworkSpec::new("degenerate", vec![conv(kernel, padding)]);
+            assert!(matches!(err, Err(NnError::DegenerateLayer { .. })), "{err:?}");
+        }
+        // Padding that makes room admits the same kernel.
+        assert!(NetworkSpec::new("padded", vec![conv(5, 1)]).is_ok());
+    }
+
+    #[test]
+    fn spec_refuses_a_zero_pooling_window() {
+        let pool =
+            LayerSpec::Pool { kind: PoolKind::Max, channels: 1, in_h: 4, in_w: 4, window: 0 };
+        let err = NetworkSpec::new("degenerate", vec![pool]);
+        assert!(matches!(err, Err(NnError::DegenerateLayer { .. })), "{err:?}");
     }
 }

@@ -11,7 +11,8 @@ use prime::analyze::{
     SharedTileGroup, Target,
 };
 use prime::compiler::{
-    map_network, CompileOptions, HwTarget, LayerMapping, NetworkMapping, NnScale, PipelineStage,
+    lower_layer, map_network, CompileOptions, HwTarget, LayerMapping, NetworkMapping, NnScale,
+    PipelineStage,
 };
 use prime::core::{PrimeError, PrimeSystem};
 use prime::nn::{Activation, FullyConnected, Layer, LayerSpec, MlBench, Network, NetworkSpec};
@@ -32,25 +33,10 @@ fn error_codes(diags: &[prime::analyze::Diagnostic]) -> Vec<Code> {
         .collect()
 }
 
-/// An honest lowering of one FC layer, mirroring the compiler's tiling
-/// rules, so fixtures can describe layers the compiler itself refuses.
+/// The compiler's own lowering of one FC layer, so fixtures can describe
+/// layers that `map_network` refuses as a whole network.
 fn fc_layer(inputs: usize, outputs: usize, hw: &HwTarget) -> LayerMapping {
-    let rows_needed = inputs + 1;
-    let row_tiles = rows_needed.div_ceil(hw.mat_rows);
-    let col_tiles = outputs.div_ceil(hw.mat_cols);
-    LayerMapping {
-        layer: LayerSpec::FullyConnected { inputs, outputs },
-        rows_needed,
-        cols_needed: outputs,
-        row_tiles,
-        col_tiles,
-        base_mats: row_tiles * col_tiles,
-        in_mat_replication: 1,
-        extra_replicas: 0,
-        vectors_per_inference: 1,
-        merge_adds: 0,
-        tile_refs: 1,
-    }
+    lower_layer(&LayerSpec::FullyConnected { inputs, outputs }, hw).expect("layer tiles")
 }
 
 fn fixture_mapping(layers: Vec<LayerMapping>, pipeline: Vec<PipelineStage>) -> NetworkMapping {

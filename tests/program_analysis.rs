@@ -63,10 +63,10 @@ fn lowered_workload_plans_are_clean() {
 /// plan must equal the lowered one in ops, widths, buffer addresses,
 /// stages, buffer words, recycle credits and tile counts (one tile per
 /// mat of weight rows, no bias row). Shifts differ by design
-/// (calibrated versus worst case). The bias row survives in one place:
-/// the compiler charges every weight layer `rows + 1` rows, though the
-/// runner adds bias in the merge register, so a layer whose rows exactly
-/// fill its mats is budgeted one more row of mats than the plan places.
+/// (calibrated versus worst case). The mapping charges every layer the
+/// mats the plan places, with no exception: VGG-D-class's 256→128
+/// layer, whose rows exactly fill a mat, is budgeted the one mat it runs
+/// on.
 #[test]
 fn lowered_plans_mirror_the_compiled_runner() {
     let default = Target::prime_default();
@@ -98,7 +98,6 @@ fn lowered_plans_mirror_the_compiled_runner() {
             },
         ),
     ];
-    let mut bias_row_mats = Vec::new();
     for (name, spec, target) in cases {
         let mut net = spec.to_network().expect("executable workload");
         net.init_random(&mut SmallRng::seed_from_u64(3));
@@ -127,19 +126,44 @@ fn lowered_plans_mirror_the_compiled_runner() {
                 (l.op, l.inputs, l.outputs, l.in_addr, l.out_addr, l.tiles.len()),
                 "{name} layer {i}"
             );
-            let programmed = l.weight_shape().map_or(0, |(rows, features)| {
+            let programmed = l.weight_shape.map_or(0, |(rows, features)| {
                 rows.div_ceil(hw.mat_rows) * features.div_ceil(hw.mat_cols)
             });
             assert_eq!(l.tiles.len(), programmed, "{name} layer {i}: one tile per mat of rows");
-            let charged = mapping.layers[i].base_mats;
-            if charged != l.tiles.len() {
-                bias_row_mats.push((name, i, l.tiles.len(), charged));
-            }
+            assert_eq!(
+                mapping.layers[i].base_mats,
+                l.tiles.len(),
+                "{name} layer {i}: the mapping charges the mats the plan places"
+            );
         }
     }
-    // Only VGG-D-class's 256→128 layer has rows that fill whole mats:
-    // its plan places 1 tile, and `map_network` still charges it 2 mats.
-    assert_eq!(bias_row_mats, vec![("VGG-D-class", 4, 1, 2)]);
+}
+
+/// A 256→128→10 stack needs exactly the two mats of a one-bank, two-mat
+/// memory, because its 256 weight rows fill one mat with no bias row
+/// left over. It must deploy there and answer bit-identically to the
+/// same net deployed on a roomier bank.
+#[test]
+fn a_net_that_exactly_fills_its_mats_deploys() {
+    let mut net = Network::new(vec![
+        Layer::Fc(FullyConnected::new(256, 128, Activation::Relu)),
+        Layer::Fc(FullyConnected::new(128, 10, Activation::Identity)),
+    ])
+    .expect("widths chain");
+    net.init_random(&mut SmallRng::seed_from_u64(11));
+    let calibration: Vec<f32> = (0..256).map(|j| ((j * 7) % 13) as f32 / 13.0).collect();
+    let inputs: Vec<Vec<f32>> = (0..4)
+        .map(|i| (0..256).map(|j| ((i * 5 + j * 3) % 11) as f32 / 11.0).collect())
+        .collect();
+    let bits = |system: &mut PrimeSystem| -> Vec<Vec<u32>> {
+        let outputs = system.infer_batch(&inputs).expect("deployed net infers");
+        outputs.iter().map(|o| o.iter().map(|v| v.to_bits()).collect()).collect()
+    };
+    let mut exact = PrimeSystem::new(1, 1, 2, 4096);
+    exact.deploy(&net, &calibration).expect("two weight layers fill the two mats");
+    let mut roomy = PrimeSystem::new(1, 1, 8, 4096);
+    roomy.deploy(&net, &calibration).expect("fits an eight-mat bank");
+    assert_eq!(bits(&mut exact), bits(&mut roomy));
 }
 
 /// The spec of a fully-connected stack.
